@@ -9,15 +9,17 @@ exhausts it.
 A new encounter created by appending one letter must lie in a suffix of
 the extended word, so the per-node check asks: does some suffix of w·c
 have Zimin type >= n?  That reduces to finding a border b of the suffix,
-with 2b < suffix length, whose prefix already has type >= n-1; the tracker
-below maintains exactly those prefix-type tables, as per-length bitsets
-over start positions, updated incrementally on push/pop.
+with 2b < suffix length, whose own type is >= n-1.  Every such border is
+a suffix of w·c as well, so the tracker needs no table of earlier infix
+types: it computes the types of the new suffixes in order of length, each
+from its shorter borders, within the push itself.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,12 +45,22 @@ def parse_rendered_word(text: str) -> list[int]:
 class ZiminSuffixTracker:
     """Incremental check: would appending a letter close a Z_n encounter?
 
-    State: the current word plus, for each level m in 2..n-1, a table
-    tables[m][b] holding the bitset of start positions s with
-    zimin_type(word[s:s+b]) >= m.  On a push to length l, suffix
-    occurrence bitsets occ_b (positions of word[l-b:l]) are rolled up by
-    length; a suffix word[s:l] reaches type m+1 exactly when occ_b has a
-    bit s with s < l - 2b present in tables[m][b].
+    State: the current word and, per letter, the bitset of its positions.
+    Pushing c to length l walks the borders of the new suffixes by length
+    b, keeping occ = start positions of earlier copies of the length-b
+    suffix a.  A start s < l - 2b gives the suffix word[s:l] = a·u·a with
+    u non-empty, so zimin_type(word[s:l]) >= 1 + zimin_type(a), and the
+    type of word[s:l] is the maximum of these bounds over its borders.
+
+    Every copy at s is a itself, so no table of infix types is needed: one
+    number, the type of a, serves all of occ at once.  That type is read
+    off the push's own rows, which hold the starts of the suffixes of type
+    >= m: bit l - b of rows[m] can only be set by borders shorter than b/2,
+    and those come first.  This is the prefix-type recursion of
+    ``zimin_type`` run on the suffixes of the word.  The walk stops at the
+    first length with no earlier copy clear of the suffix, so a push costs
+    about the length of the longest suffix that occurred before, not the
+    length of the word.
     """
 
     def __init__(self, n: int, k: int):
@@ -58,7 +70,6 @@ class ZiminSuffixTracker:
         self.k = k
         self.word: list[int] = []
         self._letter_pos = [0] * k
-        self._tables = {m: [0, 0] for m in range(2, n)}
 
     def try_push(self, c: int) -> bool:
         """Append c unless it creates a suffix of type >= n; report success."""
@@ -66,42 +77,29 @@ class ZiminSuffixTracker:
         if n == 1:
             return False
         word = self.word
+        letter_pos = self._letter_pos
         length = len(word) + 1
-        new_bit = 1 << (length - 1)
-        mpos = self._letter_pos[c] | new_bit
-        rows = [0] * (n + 1)
-        occ = mpos
+        # rows[m], 2 <= m < n: starts s with zimin_type(word[s:length]) >= m
+        rows = [0] * n
+        occ = letter_pos[c]
         for b in range(1, (length - 1) // 2 + 1):
             if b > 1:
-                prev = word[length - b]
-                src = mpos if prev == c else self._letter_pos[prev]
-                occ = src & (occ >> 1)
-                if not occ:
-                    break
+                occ = letter_pos[word[length - b]] & (occ >> 1)
             occm = occ & ((1 << (length - 2 * b)) - 1)
-            if occm:
-                rows[2] |= occm
-                for m in range(3, n + 1):
-                    tab = self._tables[m - 1]
-                    if b < len(tab) and tab[b]:
-                        rows[m] |= occm & tab[b]
-        if rows[n]:
-            return False
+            if not occm:
+                # a longer border needs a shorter one with room to spare
+                break
+            s = length - b
+            t = 1  # zimin_type of the length-b suffix
+            while t < n - 1 and rows[t + 1] >> s & 1:
+                t += 1
+            if t == n - 1:
+                # the suffixes starting in occm have type >= n
+                return False
+            for m in range(2, t + 2):
+                rows[m] |= occm
         word.append(c)
-        self._letter_pos[c] = mpos
-        for m in range(2, n):
-            tab = self._tables[m]
-            for b in range(1, min(length + 1, len(tab))):
-                tab[b] &= ~(1 << (length - b))
-            row = rows[m]
-            while row:
-                lsb = row & -row
-                s = lsb.bit_length() - 1
-                b = length - s
-                while len(tab) <= b:
-                    tab.append(0)
-                tab[b] |= lsb
-                row ^= lsb
+        letter_pos[c] |= 1 << (length - 1)
         return True
 
     def pop(self):
@@ -190,24 +188,25 @@ def _depth_first(tracker, k, budget, *, resume=None, stop_depth=None, frontier=N
                  checkpoint_path=None, checkpoint_every=None, meta=None):
     """Letters-ascending DFS over the avoiding tree rooted at tracker.word.
 
-    Returns (best_length, best_word, exhausted, nodes).  With ``stop_depth``
-    the walk does not descend past that depth and appends the words reached
-    there to ``frontier``.  Checkpoints record the current path at node
-    entry, so a resumed run continues exactly where the file says.
+    Returns (best_length, best_word, exhausted, nodes), with best_word
+    rendered.  With ``stop_depth`` the walk does not descend past that depth
+    and appends the words reached there to ``frontier``.  Checkpoints record
+    the current path at node entry, so a resumed run continues exactly where
+    the file says.
     """
     base_depth = len(tracker.word)
     best_len = base_depth
-    best = render_word(tracker.word)
+    best = tracker.word[:]
     nodes = 1
     pending: list[int] = []
     if resume is not None:
         path = parse_rendered_word(resume["path"])
         for c in path[base_depth:]:
-            if not tracker.try_push(c):
-                raise ValueError("checkpoint path is not an avoiding word")
+            if c >= k or not tracker.try_push(c):
+                raise ValueError(f"checkpoint path is not an avoiding word over {k} letters")
         pending = [c + 1 for c in path[base_depth:]]
         best_len = resume["best_length"]
-        best = resume["best_witness"]
+        best = parse_rendered_word(resume["best_witness"])
         nodes = resume["nodes_explored"]
     cur = 0
     entered = True
@@ -218,7 +217,7 @@ def _depth_first(tracker, k, budget, *, resume=None, stop_depth=None, frontier=N
             depth = len(tracker.word)
             if depth > best_len:
                 best_len = depth
-                best = render_word(tracker.word)
+                best = tracker.word[:]
             if budget.exceeded(nodes):
                 exhausted = False
                 if checkpoint_path:
@@ -242,7 +241,7 @@ def _depth_first(tracker, k, budget, *, resume=None, stop_depth=None, frontier=N
             pending.append(cur)
             cur = 0
             entered = True
-    return best_len, best, exhausted, nodes
+    return best_len, render_word(best), exhausted, nodes
 
 
 def _write_checkpoint(path, tracker, best_len, best, nodes, meta):
@@ -250,20 +249,39 @@ def _write_checkpoint(path, tracker, best_len, best, nodes, meta):
         "version": CHECKPOINT_VERSION,
         "path": render_word(tracker.word),
         "best_length": best_len,
-        "best_witness": best,
+        "best_witness": render_word(best),
         "nodes_explored": nodes,
     }
     payload.update(meta or {})
-    with open(path, "w") as fh:
+    # a crash mid-write leaves the previous checkpoint intact
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
+    os.replace(tmp, path)
+
+
+_CHECKPOINT_FIELDS = {
+    "path": str,
+    "best_length": int,
+    "best_witness": str,
+    "nodes_explored": int,
+}
 
 
 def load_checkpoint(path) -> dict:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if data.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
+    for key, kind in _CHECKPOINT_FIELDS.items():
+        value = data.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"checkpoint field {key!r} missing or not a {kind.__name__}")
+    if data["best_length"] != len(data["best_witness"]):
+        raise ValueError("checkpoint best_length does not match best_witness")
     return data
 
 
@@ -302,6 +320,8 @@ def longest_avoiding(
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
+    if k > len(LETTERS):
+        raise ValueError(f"need k <= {len(LETTERS)}: witnesses are rendered one letter per symbol")
     budget = _Budget(max_nodes, max_seconds)
     meta = {"mode": mode, "n": n, "k": k}
     if parallel <= 1:

@@ -147,3 +147,29 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == EXIT_USAGE
+
+
+def _cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "ziminwords.cli", *argv], capture_output=True, text=True
+    )
+
+
+def test_search_alphabet_too_large_is_usage_error():
+    proc = _cli("search", "f", "--n", "2", "--k", "40")
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "k <= 36" in json.loads(proc.stdout)["error"]
+
+
+def test_resume_from_checkpoint_without_path_is_usage_error(tmp_path):
+    ck = tmp_path / "run.json"
+    proc = _cli("search", "f", "--n", "3", "--k", "2", "--budget-nodes", "200", "--checkpoint", str(ck))
+    assert proc.returncode == EXIT_RESOURCE
+    data = json.loads(ck.read_text())
+    del data["path"]
+    ck.write_text(json.dumps(data))
+    proc = _cli("search", "f", "--n", "3", "--k", "2", "--checkpoint", str(ck), "--resume")
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "'path'" in json.loads(proc.stdout)["error"]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ziminwords import zimin_index
 from ziminwords.errors import ResourceLimitError
 from ziminwords.search import (
+    OracleSuffixTracker,
     SearchCertificate,
     ZiminSuffixTracker,
     counter_witness_bounds,
@@ -105,6 +107,30 @@ def test_tracker_push_pop_consistency():
             break
 
 
+def test_tracker_random_walks_match_oracle():
+    rng = random.Random(20190215)
+    for n in (2, 3, 4, 5):
+        for k in (2, 3, 4):
+            for _ in range(6):
+                fast, slow = ZiminSuffixTracker(n, k), OracleSuffixTracker(n, k)
+                max_len = rng.randrange(20, 61)
+                for _ in range(150):
+                    if fast.word and (len(fast.word) >= max_len or rng.random() < 0.25):
+                        fast.pop()
+                        slow.pop()
+                        continue
+                    c = rng.randrange(k)
+                    assert fast.try_push(c) == slow.try_push(c), (n, k, fast.word, c)
+                    assert fast.word == slow.word
+
+
+def test_deep_f42_search_pinned():
+    cert = longest_avoiding(4, 2, max_nodes=3000)
+    assert cert.max_avoiding_length == 2378 and len(cert.witness) == 2378
+    assert cert.nodes_explored == 3000 and not cert.exhausted
+    assert zimin_index(cert.witness, max_length=None) < 4
+
+
 def test_checkpoint_resume_roundtrip(tmp_path):
     target = longest_avoiding(3, 2)
     ck = tmp_path / "run.json"
@@ -172,3 +198,51 @@ def test_counter_witness_bounds_encoded_order4_sample():
     assert report["ok"]
     assert report["encoded_length"] == 1952
     assert max(report["zimin_indices"].values()) <= 5
+
+
+def test_checkpoint_survives_crash_mid_write(tmp_path, monkeypatch):
+    ck = tmp_path / "run.json"
+    longest_avoiding(3, 2, max_nodes=300, checkpoint_path=str(ck))
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+    before = ck.read_text()
+
+    def crash(payload, fh):
+        fh.write('{"version": 1, "pa')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", crash)
+    with pytest.raises(OSError):
+        longest_avoiding(3, 2, max_nodes=400, checkpoint_path=str(ck))
+    assert ck.read_text() == before
+    assert load_checkpoint(ck)["nodes_explored"] == 300
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("path", None), ("best_length", None), ("best_witness", None), ("nodes_explored", None),
+     ("path", 7), ("best_length", "12"), ("best_witness", 0), ("nodes_explored", True),
+     ("best_length", 3)],
+)
+def test_checkpoint_schema_validated(tmp_path, field, value):
+    ck = tmp_path / "run.json"
+    longest_avoiding(3, 2, max_nodes=200, checkpoint_path=str(ck))
+    data = json.loads(ck.read_text())
+    if value is None:
+        del data[field]
+    else:
+        data[field] = value
+    ck.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        load_checkpoint(ck)
+    with pytest.raises(ValueError):
+        longest_avoiding(3, 2, checkpoint_path=str(ck), resume=True)
+
+
+def test_checkpoint_path_outside_alphabet_rejected(tmp_path):
+    ck = tmp_path / "run.json"
+    longest_avoiding(3, 2, max_nodes=200, checkpoint_path=str(ck))
+    data = json.loads(ck.read_text())
+    data["path"] = "0120"
+    ck.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        longest_avoiding(3, 2, checkpoint_path=str(ck), resume=True)
