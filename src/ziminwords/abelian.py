@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 from typing import Iterator, Optional, Sequence
@@ -59,11 +60,17 @@ class AbelianAssignment:
         return sum(2 ** (n - i) * l for i, l in enumerate(self.lengths, start=1))
 
 
+@lru_cache(maxsize=16)
+def _zimin_variables(n: int) -> tuple[int, ...]:
+    """The variable sequence of Z_n, built once per n."""
+    return tuple(zimin_pattern(n))
+
+
 def _block_spans(j: int, n: int, lam: AbelianAssignment) -> list[tuple[int, int, int]]:
     """(variable, start, end) for the 2^n - 1 blocks starting at offset j."""
     spans = []
     pos = j
-    for v in zimin_pattern(n):
+    for v in _zimin_variables(n):
         ln = lam[v]
         spans.append((v, pos, pos + ln))
         pos += ln
@@ -149,48 +156,44 @@ def encounters_abelian_zimin_naive(w: Sequence, n: int) -> bool:
     return False
 
 
+# Parikh vectors are packed into one int with a fixed field per letter, so the
+# vector of w[a:b] is sums[b] - sums[a] (no field ever borrows) and abelian
+# equality is one int compare.
+_FIELD_BITS = 32
+
+
 class AbelianSuffixTracker:
-    """Incremental check for the g-search: prefix Parikh sums plus a scan of
-    all suffix-anchored (j, lambda) windows on every push."""
+    """Incremental check for the g-search: packed prefix Parikh sums plus a
+    search, on every push, for an abelian occurrence of Z_n that ends at the
+    last letter.
+
+    Such an occurrence splits as Z_{n-1} x_n Z_{n-1}.  For each half width h
+    and lambda(x_n), the two Z_{n-1} windows must first be abelian-equal as
+    wholes; only then are their inner splits tried (see ``_halves_fit``).
+    """
 
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
         self.word: list[int] = []
-        self._sums = [(0,) * k]  # Parikh vector of every prefix
-        self._zseq = tuple(zimin_pattern(n)) if n >= 1 else ()
-
-    def _vec(self, a: int, b: int) -> tuple[int, ...]:
-        sa, sb = self._sums[a], self._sums[b]
-        return tuple(sb[t] - sa[t] for t in range(self.k))
+        self._sums = [0]  # packed Parikh vector of every prefix
 
     def try_push(self, c: int) -> bool:
         n = self.n
-        if n == 1:
+        if n <= 1:  # every non-empty word encounters Z_1 (and Z_0)
             return False
         word = self.word
+        sums = self._sums
         word.append(c)
-        last = self._sums[-1]
-        self._sums.append(last[:c] + (last[c] + 1,) + last[c + 1 :])
+        sums.append(sums[-1] + (1 << (_FIELD_BITS * c)))
         length = len(word)
-        min_width = 2**n - 1
-        zseq = self._zseq
-        for width in range(min_width, length + 1):
-            j = length - width
-            for lam in assignments_of_width(n, width):
-                vecs: dict[int, tuple] = {}
-                pos = j
-                ok = True
-                for v in zseq:
-                    ln = lam[v]
-                    vec = self._vec(pos, pos + ln)
-                    pos += ln
-                    if v not in vecs:
-                        vecs[v] = vec
-                    elif vecs[v] != vec:
-                        ok = False
-                        break
-                if ok:
+        total = sums[length]
+        for h in range((1 << (n - 1)) - 1, (length - 1) // 2 + 1):
+            right = length - h
+            half = total - sums[right]
+            # the left half starts at s, before x_n of length right - h - s >= 1
+            for s in range(right - h):
+                if sums[s + h] - sums[s] == half and _halves_fit(sums, [s, right], h, n - 1):
                     self.pop()
                     return False
         return True
@@ -198,6 +201,31 @@ class AbelianSuffixTracker:
     def pop(self):
         self.word.pop()
         self._sums.pop()
+
+
+def _halves_fit(sums: list[int], starts: list[int], h: int, m: int) -> bool:
+    """Whether the width-h windows at ``starts``, already abelian-equal as
+    wholes, are occurrences of Z_m under one common lambda with abelian-equal
+    blocks for each variable.
+
+    Z_m = Z_{m-1} x_m Z_{m-1}: a split width h' (lambda(x_m) = h - 2h')
+    needs the 2 * len(starts) width-h' halves abelian-equal as wholes before
+    it recurses on them.  Since the windows are equal as wholes, equal halves
+    make their x_m blocks equal too.
+    """
+    if m == 1:
+        return True
+    first = starts[0]
+    for h2 in range((1 << (m - 1)) - 1, (h - 1) // 2 + 1):
+        mid = h - h2  # offset of the right half; x_m spans [h2, mid)
+        half = sums[first + h2] - sums[first]
+        for s in starts:
+            if sums[s + h2] - sums[s] != half or sums[s + h] - sums[s + mid] != half:
+                break
+        else:
+            if _halves_fit(sums, [t for s in starts for t in (s, s + mid)], h2, m - 1):
+                return True
+    return False
 
 
 def g_value(n: int, k: int, **kwargs):

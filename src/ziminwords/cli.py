@@ -137,10 +137,18 @@ def _cmd_counters(args):
     raise AssertionError
 
 
+def _counter_arg(text: str) -> tuple[int, int]:
+    index, _, order = text.partition(",")
+    try:
+        return int(index), int(order)
+    except ValueError:
+        raise ValueError(f"--counter takes INDEX,ORDER (two integers, e.g. 5,3), got {text!r}") from None
+
+
 def _cmd_psi(args):
     if args.psi_cmd == "encode":
         if args.counter:
-            index, order = (int(t) for t in args.counter.split(","))
+            index, order = _counter_arg(args.counter)
             return {"result": encoded_counter(index, order)}, EXIT_OK
         return {"result": psi(RankedWord.parse(args.word))}, EXIT_OK
     if args.psi_cmd == "parses":

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ziminwords import encounters, zimin_pattern
 from ziminwords.abelian import (
     AbelianAssignment,
+    AbelianSuffixTracker,
     abelian_equiv,
     abelian_occurrence,
     assignments_of_width,
@@ -96,6 +98,23 @@ def test_naive_oracle_ternary_spotcheck():
         assert (encounters_abelian_zimin(w, 2) is not None) == encounters_abelian_zimin_naive(w, 2)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tracker_random_walk_matches_encounters(n, k):
+    rng = random.Random(1000 * n + k)
+    tracker = AbelianSuffixTracker(n, k)
+    for _ in range(120):
+        if tracker.word and (len(tracker.word) == 40 or rng.random() < 0.3):
+            tracker.pop()
+            continue
+        before = tracker.word[:]
+        # letter 0 half the time: abelian-equal blocks, hence rejections, come sooner
+        c = rng.randrange(k) if rng.random() < 0.5 else 0
+        accepted = tracker.try_push(c)
+        assert accepted == (encounters_abelian_zimin(before + [c], n) is None)
+        assert tracker.word == (before + [c] if accepted else before)
+
+
 def test_g_values():
     assert g_value(1, 2)[0] == 1
     assert g_value(1, 5)[0] == 1
@@ -103,6 +122,17 @@ def test_g_values():
     assert g22 == 5 and cert22.exhausted
     g23, cert23 = g_value(2, 3)
     assert g23 == 7 and cert23.exhausted
+
+
+@pytest.mark.parametrize(
+    "n, k, g, nodes", [(2, 4, 9, 633), (2, 5, 11, 6331), (3, 2, 29, 45997)]
+)
+def test_g_exact_by_exhaustion(n, k, g, nodes):
+    value, cert = g_value(n, k)
+    assert (value, cert.exhausted, cert.nodes_explored) == (g, True, nodes)
+    assert len(cert.witness) == g - 1
+    assert encounters_abelian_zimin(cert.witness, n) is None
+    assert value <= longest_avoiding(n, k).implied_f()
 
 
 def test_g_at_most_f():

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ziminwords.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, run
 
 
@@ -173,3 +175,11 @@ def test_resume_from_checkpoint_without_path_is_usage_error(tmp_path):
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "'path'" in json.loads(proc.stdout)["error"]
+
+
+@pytest.mark.parametrize("value", ["1", "1,x", "1,2,3"])
+def test_psi_encode_malformed_counter_is_usage_error(value):
+    proc = _cli("psi", "encode", "--counter", value)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "INDEX,ORDER" in json.loads(proc.stdout)["error"]
