@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--checkpoint", default=None)
     q.add_argument("--checkpoint-every", type=int, default=100_000)
     q.add_argument("--resume", action="store_true")
-    q.add_argument("--oracle", action="store_true", help="recompute the index at every node")
+    q.add_argument("--oracle", action="store_true", help="type every suffix with the naive oracle at every node")
     q.set_defaults(handler=_cmd_search)
     q = ssub.add_parser("bounds", help="counter-based lower-bound certificates")
     q.add_argument("--order", type=int, required=True)

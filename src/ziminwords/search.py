@@ -7,12 +7,9 @@ first search; f equals one plus the depth of that tree when the search
 exhausts it.
 
 A new encounter created by appending one letter must lie in a suffix of
-the extended word, so the per-node check asks: does some suffix of w·c
-have Zimin type >= n?  That reduces to finding a border b of the suffix,
-with 2b < suffix length, whose own type is >= n-1.  Every such border is
-a suffix of w·c as well, so the tracker needs no table of earlier infix
-types: it computes the types of the new suffixes in order of length, each
-from its shorter borders, within the push itself.
+the extended word, so each node asks whether some suffix of w·c has Zimin
+type >= n.  ``zimin.ZiminSuffixTracker``, the engine of ``zimin_type`` and
+``zimin_index``, answers that within the push.
 """
 
 from __future__ import annotations
@@ -27,8 +24,9 @@ from typing import Optional
 
 from .counters import counter, counter_length
 from .errors import ResourceLimitError
+from .oracles import zimin_type_recursive
 from .words import DEFAULT_DIGIT_CAP, guarded_power, tau
-from .zimin import matches, zimin_index, zimin_pattern
+from .zimin import ZiminSuffixTracker, matches, zimin_index, zimin_pattern
 
 CHECKPOINT_VERSION = 1
 LETTERS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -42,73 +40,9 @@ def parse_rendered_word(text: str) -> list[int]:
     return [LETTERS.index(c) for c in text]
 
 
-class ZiminSuffixTracker:
-    """Incremental check: would appending a letter close a Z_n encounter?
-
-    State: the current word and, per letter, the bitset of its positions.
-    Pushing c to length l walks the borders of the new suffixes by length
-    b, keeping occ = start positions of earlier copies of the length-b
-    suffix a.  A start s < l - 2b gives the suffix word[s:l] = a·u·a with
-    u non-empty, so zimin_type(word[s:l]) >= 1 + zimin_type(a), and the
-    type of word[s:l] is the maximum of these bounds over its borders.
-
-    Every copy at s is a itself, so no table of infix types is needed: one
-    number, the type of a, serves all of occ at once.  That type is read
-    off the push's own rows, which hold the starts of the suffixes of type
-    >= m: bit l - b of rows[m] can only be set by borders shorter than b/2,
-    and those come first.  This is the prefix-type recursion of
-    ``zimin_type`` run on the suffixes of the word.  The walk stops at the
-    first length with no earlier copy clear of the suffix, so a push costs
-    about the length of the longest suffix that occurred before, not the
-    length of the word.
-    """
-
-    def __init__(self, n: int, k: int):
-        if n < 1 or k < 1:
-            raise ValueError("need n >= 1 and k >= 1")
-        self.n = n
-        self.k = k
-        self.word: list[int] = []
-        self._letter_pos = [0] * k
-
-    def try_push(self, c: int) -> bool:
-        """Append c unless it creates a suffix of type >= n; report success."""
-        n = self.n
-        if n == 1:
-            return False
-        word = self.word
-        letter_pos = self._letter_pos
-        length = len(word) + 1
-        # rows[m], 2 <= m < n: starts s with zimin_type(word[s:length]) >= m
-        rows = [0] * n
-        occ = letter_pos[c]
-        for b in range(1, (length - 1) // 2 + 1):
-            if b > 1:
-                occ = letter_pos[word[length - b]] & (occ >> 1)
-            occm = occ & ((1 << (length - 2 * b)) - 1)
-            if not occm:
-                # a longer border needs a shorter one with room to spare
-                break
-            s = length - b
-            t = 1  # zimin_type of the length-b suffix
-            while t < n - 1 and rows[t + 1] >> s & 1:
-                t += 1
-            if t == n - 1:
-                # the suffixes starting in occm have type >= n
-                return False
-            for m in range(2, t + 2):
-                rows[m] |= occm
-        word.append(c)
-        letter_pos[c] |= 1 << (length - 1)
-        return True
-
-    def pop(self):
-        c = self.word.pop()
-        self._letter_pos[c] &= ~(1 << len(self.word))
-
-
 class OracleSuffixTracker:
-    """Reference tracker recomputing the full Zimin index at every node."""
+    """Reference tracker: types every suffix of the extended word with the
+    naive recursion of ``oracles``, sharing no code with ``zimin_type``."""
 
     def __init__(self, n: int, k: int):
         self.n = n
@@ -116,10 +50,10 @@ class OracleSuffixTracker:
         self.word: list[int] = []
 
     def try_push(self, c: int) -> bool:
-        self.word.append(c)
-        if zimin_index(self.word, max_length=None) >= self.n:
-            self.word.pop()
+        w = self.word + [c]
+        if any(zimin_type_recursive(w[s:]) >= self.n for s in range(len(w))):
             return False
+        self.word.append(c)
         return True
 
     def pop(self):

@@ -441,21 +441,17 @@ def check_log_bound(samples: int = 10_000, max_len: int = 64, seed: int = 7) -> 
 
 
 def check_incremental_tracker(max_len: int = 14, levels=(3,)) -> CheckResult:
-    """Suffix-anchored tracking agrees with full index recomputation."""
+    """Suffix-anchored tracking agrees with the enumerated index of oracles."""
     ok = True
     for n in levels:
         for L in range(1, max_len + 1):
             for bits in itertools.product((0, 1), repeat=L):
                 tracker = ZiminSuffixTracker(n, 2)
-                rejected = False
-                for c in bits:
-                    if not tracker.try_push(c):
-                        rejected = True
-                        break
-                if rejected != (zimin_index(bits) >= n):
+                rejected = not all(map(tracker.try_push, bits))
+                if rejected != (zimin_index_enumerated(bits) >= n):
                     ok = False
     return CheckResult(
-        f"incremental encounter check matches recomputation (len <= {max_len}, n in {levels})", ok
+        f"incremental encounter check matches enumeration (len <= {max_len}, n in {levels})", ok
     )
 
 

@@ -183,3 +183,11 @@ def test_psi_encode_malformed_counter_is_usage_error(value):
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "INDEX,ORDER" in json.loads(proc.stdout)["error"]
+
+
+def test_zimin_encounters_long_pattern_is_not_a_crash():
+    proc = _cli("zimin", "encounters", "01" * 600, " ".join(["x1 x2"] * 550))
+    assert proc.returncode == EXIT_OK
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["result"] is True and report["witness"] == {"x1": "0", "x2": "1"}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,11 @@ from ziminwords import (
     zimin_pattern,
     zimin_type,
 )
+from ziminwords.counters import counter
 from ziminwords.errors import ResourceLimitError
 from ziminwords.oracles import zimin_index_enumerated, zimin_type_recursive
+from ziminwords.words import RankedWord, sym
+from ziminwords.zimin import DEFAULT_INDEX_LENGTH_CAP
 
 
 def binary_words(max_len, min_len=0):
@@ -69,7 +73,44 @@ def test_zimin_index_paper_values():
 def test_zimin_index_length_cap():
     with pytest.raises(ResourceLimitError):
         zimin_index("ab" * 40, max_length=50)
+    with pytest.raises(ResourceLimitError):
+        zimin_index("a" * (DEFAULT_INDEX_LENGTH_CAP + 1))
     assert zimin_index("ab" * 40, max_length=None) >= 1
+
+
+def test_zimin_index_of_unary_words():
+    # a^m matches Z_t exactly when 2^t - 1 <= m, past the oracles' reach
+    lengths = list(range(1, 200)) + [2**j + d for j in (8, 9) for d in (-2, -1, 0)] + [2000]
+    for m in lengths:
+        assert zimin_index("a" * m, max_length=None) == math.floor(math.log2(m + 1)), m
+        assert zimin_type("a" * m) == math.floor(math.log2(m + 1)), m
+
+
+def test_zimin_images_have_type_at_least_n():
+    rng = random.Random(4242)
+    for n in range(1, 6):
+        for _ in range(40):
+            image = {v: "".join(rng.choice("ab") for _ in range(rng.randint(1, 6))) for v in range(1, n + 1)}
+            w = "".join(image[v] for v in zimin_pattern(n))
+            assert zimin_type(w) >= n, (n, image)
+            assert zimin_index("ba" + w + "ab", max_length=None) >= n, (n, image)
+
+
+def test_type_and_index_agree_with_oracles_on_ternary_words():
+    for length in range(8):
+        for w in itertools.product("abc", repeat=length):
+            assert zimin_type(w) == zimin_type_recursive(w), w
+            assert zimin_index(w) == zimin_index_enumerated(w), w
+
+
+def test_type_and_index_agree_with_oracles_on_ranked_words():
+    words = [counter(i, order) for order in (1, 2, 3) for i in range(2**order)]
+    rng = random.Random(7)
+    symbols = [sym(b, o) for b in (0, 1) for o in (1, 2, 3)]
+    words += [RankedWord([rng.choice(symbols) for _ in range(rng.randint(1, 14))]) for _ in range(60)]
+    for w in words:
+        assert zimin_type(w) == zimin_type_recursive(tuple(w)), str(w)
+        assert zimin_index(w) == zimin_index_enumerated(tuple(w)), str(w)
 
 
 def test_type_and_index_agree_with_oracles_exhaustively():
@@ -112,6 +153,23 @@ def test_matches_witness_applies():
             got = matches(w, p)
             if got is not None:
                 assert got.apply(p) == w
+
+
+def test_matches_long_pattern_without_recursion():
+    # one image per pattern position: a recursive matcher overflows the stack
+    pattern = Pattern([1, 2] * 550)
+    assert matches("01" * 600, pattern) is None
+    got = matches("01" * 550, pattern)
+    assert got is not None and got.assignment == {1: "0", 2: "1"}
+    got = matches("0011" * 550, pattern)
+    assert got is not None and got.assignment == {1: "0", 2: "011"}
+
+
+def test_matches_search_order():
+    # leftmost variable first, shorter images first, backtracking into x1
+    assert matches("aaaa", Pattern.parse("xyx")).assignment == {1: "a", 2: "aa"}
+    assert matches("abcab", Pattern.parse("xyx")).assignment == {1: "ab", 2: "c"}
+    assert matches("abab", Pattern.parse("xx")).assignment == {1: "ab"}
 
 
 def test_matches_empty_pattern_rejected():
