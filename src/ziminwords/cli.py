@@ -327,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = ssub.add_parser("f")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--budget-nodes", type=int, default=None)
-    q.add_argument("--budget-seconds", type=float, default=None)
+    q.add_argument("--budget-nodes", type=int, default=None, help="node budget, shared by all tasks under --parallel")
+    q.add_argument(
+        "--budget-seconds", type=float, default=None, help="time budget; under --parallel, each subtree task gets all of it"
+    )
     q.add_argument("--parallel", type=int, default=1)
     q.add_argument("--split-depth", type=int, default=None)
     q.add_argument("--checkpoint", default=None)

@@ -9,12 +9,23 @@ in sequence before its bit:
 
 There are tau(n) counters of order n and their common length L_n satisfies
 L_1 = 1, L_{n+1} = tau(n) * (L_n + 1), so L_n >= tau(n-1).
+
+All counters of one order share one skeleton and differ only at the
+tau(n-1) top-bit slots.  ``_recursion`` is the one place the recursion is
+written.  For orders up to 4 its output is cached as a template: the
+skeleton C_0^n (0_n in every slot) and the slot offsets.  Order 4 has 336
+symbols and 16 slots.  ``counter`` copies the skeleton and writes 1_n into
+the slots set in i.  ``counter_stream`` iterates that tuple.  Above order 4
+it recurses, one order-4 counter at a time.  ``decode_counter`` compares
+each sub-counter as one tuple slice and looks for the offending symbol only
+on a mismatch.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .errors import MalformedCounterError, ResourceLimitError
 from .words import DEFAULT_DIGIT_CAP, RankedSymbol, RankedWord, tau
@@ -46,17 +57,45 @@ def _check_id(index: int, order: int) -> None:
         raise ValueError(f"counter index {index} out of range [0, tau({order})-1 = {hi - 1}]")
 
 
-@lru_cache(maxsize=64)
-def _small_counter(index: int, order: int) -> tuple[RankedSymbol, ...]:
-    # Cache covers every counter of order <= 3 (2 + 4 + 16 words); the
-    # builders below assemble higher orders from these without caching them.
+# Highest order built from a cached template (336 symbols at order 4).
+TEMPLATE_ORDER = 4
+
+
+def _recursion(index: int, order: int) -> Iterator[tuple[RankedSymbol, ...]]:
+    """C_index^order as consecutive tuples: each order-(n-1) sub-counter in
+    one or more tuples, each top bit in a tuple of its own."""
     if order == 1:
-        return (RankedSymbol(index, 1),)
-    parts = []
+        yield (RankedSymbol(index, 1),)
+        return
     for j in range(tau(order - 1)):
-        parts.extend(_small_counter(j, order - 1))
-        parts.append(RankedSymbol((index >> j) & 1, order))
-    return tuple(parts)
+        yield from _chunks(j, order - 1)
+        yield (RankedSymbol((index >> j) & 1, order),)
+
+
+def _chunks(index: int, order: int) -> Iterable[tuple[RankedSymbol, ...]]:
+    """C_index^order as consecutive tuples, one template copy up to order 4."""
+    if order <= TEMPLATE_ORDER:
+        return (_from_template(index, order),)
+    return _recursion(index, order)
+
+
+@lru_cache(maxsize=None)
+def _template(order: int) -> tuple[tuple[RankedSymbol, ...], tuple[int, ...]]:
+    """C_0^order and the offsets of its top-bit slots; slot j of C_i^order holds bit j of i."""
+    skeleton = tuple(chain.from_iterable(_recursion(0, order)))
+    return skeleton, tuple(p for p, s in enumerate(skeleton) if s.order == order)
+
+
+def _from_template(index: int, order: int) -> tuple[RankedSymbol, ...]:
+    skeleton, slots = _template(order)
+    if not index:
+        return skeleton
+    out = list(skeleton)
+    one = RankedSymbol(1, order)
+    for j, offset in enumerate(slots):
+        if (index >> j) & 1:
+            out[offset] = one
+    return tuple(out)
 
 
 def counter(index: int, order: int, symbol_cap: int | None = DEFAULT_SYMBOL_CAP) -> RankedWord:
@@ -66,28 +105,18 @@ def counter(index: int, order: int, symbol_cap: int | None = DEFAULT_SYMBOL_CAP)
         raise ResourceLimitError(
             f"order-{order} counters have {counter_length(order)} symbols, over the cap {symbol_cap}"
         )
-    if order <= 3:
-        return RankedWord(_small_counter(index, order))
-    parts: list[RankedSymbol] = []
-    for j in range(tau(order - 1)):
-        parts.extend(counter(j, order - 1, symbol_cap=None))
-        parts.append(RankedSymbol((index >> j) & 1, order))
-    return RankedWord(parts)
+    return RankedWord(chain.from_iterable(_chunks(index, order)))
 
 
 def counter_stream(index: int, order: int) -> Iterator[RankedSymbol]:
-    """Yield the symbols of C_index^order without materialising the word.
+    """Iterate over the symbols of C_index^order without materialising the word.
 
-    Memory is proportional to the order (one generator frame and one big
-    integer per recursion level), never to the counter length.
+    The index is checked at the call.  Memory is bounded by one order-4
+    counter (336 symbols) plus one generator frame and one big integer per
+    order above 4, never by the counter length.
     """
     _check_id(index, order)
-    if order == 1:
-        yield RankedSymbol(index, 1)
-        return
-    for j in range(tau(order - 1)):
-        yield from counter_stream(j, order - 1)
-        yield RankedSymbol((index >> j) & 1, order)
+    return chain.from_iterable(_chunks(index, order))
 
 
 def decode_counter(w, order: int) -> int:
@@ -98,7 +127,7 @@ def decode_counter(w, order: int) -> int:
     if order < 1:
         raise ValueError("order must be >= 1")
     expected_len = counter_length(order)
-    symbols = list(w)
+    symbols = tuple(w)
     index = 0
     pos = 0
     if order == 1:
@@ -111,14 +140,11 @@ def decode_counter(w, order: int) -> int:
             raise MalformedCounterError("order-1 counter has exactly one symbol", 1)
         return s.bit
     for j in range(tau(order - 1)):
-        for expected in counter_stream(j, order - 1):
-            if pos >= len(symbols):
-                raise MalformedCounterError(f"word ends inside sub-counter {j}", pos)
-            if symbols[pos] != expected:
-                raise MalformedCounterError(
-                    f"expected {expected} inside sub-counter {j}, found {symbols[pos]}", pos
-                )
-            pos += 1
+        for chunk in _chunks(j, order - 1):
+            end = pos + len(chunk)
+            if symbols[pos:end] != chunk:
+                _raise_mismatch(symbols, pos, chunk, j)
+            pos = end
         if pos >= len(symbols):
             raise MalformedCounterError(f"missing order-{order} bit after sub-counter {j}", pos)
         b = symbols[pos]
@@ -130,3 +156,14 @@ def decode_counter(w, order: int) -> int:
         raise MalformedCounterError(f"trailing symbols after a complete order-{order} counter", pos)
     assert pos == expected_len
     return index
+
+
+def _raise_mismatch(symbols, pos: int, expected, j: int) -> None:
+    """Raise at the first offset where symbols[pos:] departs from expected."""
+    for offset, want in enumerate(expected, pos):
+        if offset >= len(symbols):
+            raise MalformedCounterError(f"word ends inside sub-counter {j}", offset)
+        if symbols[offset] != want:
+            raise MalformedCounterError(
+                f"expected {want} inside sub-counter {j}, found {symbols[offset]}", offset
+            )

@@ -249,8 +249,11 @@ def longest_avoiding(
     Parallel runs split the tree at ``split_depth`` into independent
     subtree tasks; merging is associative (max depth, then the earliest =
     lexicographically smallest witness), so serial and parallel searches
-    return identical certificates.  Budgets in parallel mode apply to each
-    task separately; checkpoint/resume is serial-only.
+    return identical certificates.  In parallel mode ``max_nodes`` is
+    global: the nodes left after the frontier phase are split evenly across
+    the subtree tasks, so ``nodes_explored`` never exceeds it.
+    ``max_seconds`` applies to the frontier phase and to each task
+    separately.  Checkpoint/resume is serial-only.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -287,7 +290,13 @@ def longest_avoiding(
     )
     if not exhausted:
         return SearchCertificate(n, k, best_len, best, False, nodes)
-    tasks = [(mode, n, k, prefix, max_nodes, max_seconds) for prefix in frontier]
+    # split the nodes left after the frontier phase across the tasks; each
+    # task's budget also counts its frontier node, counted here already
+    shares = [None] * len(frontier)
+    if max_nodes is not None:
+        left, parts = max_nodes - nodes, len(frontier)
+        shares = [left // parts + (t < left % parts) + 1 for t in range(parts)]
+    tasks = [(mode, n, k, prefix, share, max_seconds) for prefix, share in zip(frontier, shares)]
     with multiprocessing.Pool(parallel) as pool:
         results = pool.map(_subtree_worker, tasks)
     for sub_len, sub_best, sub_exhausted, sub_nodes in results:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ziminwords.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, run
 
@@ -191,3 +195,41 @@ def test_zimin_encounters_long_pattern_is_not_a_crash():
     assert "Traceback" not in proc.stderr
     report = json.loads(proc.stdout)
     assert report["result"] is True and report["witness"] == {"x1": "0", "x2": "1"}
+
+
+def test_counters_make_stream_out_of_range_is_usage_error():
+    proc = _cli("counters", "make", "--order", "2", "--index", "4", "--stream")
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "out of range" in json.loads(proc.stdout)["error"]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_json_line(code, out, err):
+    assert code in (0, 1, 2, 3)
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert isinstance(json.loads(out), dict)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=120, deadline=None)
+@given(order=st.integers(max_value=5), index=st.integers())
+def test_fuzz_counters_make(order, index):
+    _assert_one_json_line(*_run_in_process(["counters", "make", f"--order={order}", f"--index={index}"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(),
+        st.builds(lambda i, o: f"{i},{o}", st.integers(min_value=-3), st.integers(min_value=-2, max_value=6)),
+    )
+)
+def test_fuzz_psi_encode_counter(text):
+    _assert_one_json_line(*_run_in_process(["psi", "encode", f"--counter={text}"]))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -71,6 +72,7 @@ def test_stream_agrees_with_materialisation():
     for n in range(1, 5):
         for i in (0, 1, tau(n) - 1):
             assert RankedWord(counter_stream(i, n)) == counter(i, n)
+    assert RankedWord(counter_stream(4095, 4)) == counter(4095, 4)
 
 
 def test_stream_starts_with_0_1():
@@ -132,3 +134,77 @@ def test_unique_subcounter_occurrence_small_orders():
             w = counter(i, n)
             for j in range(tau(n - 1)):
                 assert len(occurrences(counter(j, n - 1), w)) == 1
+
+
+# decode_counter's error contract at order 4: C_i^4 is sixteen order-3
+# sub-counters of 20 symbols, each followed by its order-4 bit, so
+# sub-counter j spans [21j, 21j + 20) and its bit sits at 21j + 20.
+
+
+def _decode_error(w, order):
+    with pytest.raises(MalformedCounterError) as exc:
+        decode_counter(w, order)
+    return str(exc.value), exc.value.position
+
+
+def test_decode_order_4_wrong_symbol_in_later_subcounter():
+    w = counter(40_000, 4)
+    for p in (21 * 5 + 3, 21 * 5 + 19):
+        flipped = sym(1 - w[p].bit, w[p].order)
+        broken = RankedWord(w[:p]) + RankedWord([flipped]) + RankedWord(w[p + 1 :])
+        assert _decode_error(broken, 4) == (
+            f"expected {w[p]} inside sub-counter 5, found {flipped} (position {p})",
+            p,
+        )
+
+
+def test_decode_order_4_word_ends_inside_subcounter():
+    w = counter(12_345, 4)
+    assert _decode_error(w[: 21 * 7 + 4], 4) == ("word ends inside sub-counter 7 (position 151)", 151)
+
+
+def test_decode_order_4_missing_top_bit():
+    w = counter(12_345, 4)
+    assert _decode_error(w[: 21 * 3 + 20], 4) == ("missing order-4 bit after sub-counter 3 (position 83)", 83)
+
+
+def test_decode_order_4_top_bit_of_wrong_order():
+    w = counter(65_535, 4)
+    p = 21 * 9 + 20
+    broken = RankedWord(w[:p]) + RankedWord([sym(1, 3)]) + RankedWord(w[p + 1 :])
+    assert _decode_error(broken, 4) == (f"expected an order-4 bit, found 1_3 (position {p})", p)
+
+
+def test_decode_order_4_trailing_symbols():
+    w = counter(7, 4) + RankedWord.parse("0_1")
+    assert _decode_error(w, 4) == ("trailing symbols after a complete order-4 counter (position 336)", 336)
+
+
+def test_stream_rejects_bad_index_at_the_call():
+    with pytest.raises(ValueError):
+        counter_stream(4, 2)
+    with pytest.raises(ValueError):
+        counter_stream(0, 0)
+
+
+def test_stream_order_5_first_three_subcounters():
+    # C_5^5 = C_0^4 1_5 C_1^4 0_5 C_2^4 1_5 ...
+    block = counter_length(4) + 1
+    prefix = RankedWord(itertools.islice(counter_stream(5, 5), 3 * block))
+    expected = RankedWord(())
+    for j, bit in enumerate((1, 0, 1)):
+        expected = expected + counter(j, 4) + RankedWord([sym(bit, 5)])
+    assert prefix == expected
+
+
+def test_stream_order_5_memory_is_bounded():
+    stream = counter_stream(tau(5) - 1, 5)
+    tracemalloc.start()
+    try:
+        consumed = sum(1 for _ in itertools.islice(stream, 100 * (counter_length(4) + 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert consumed == 100 * 337
+    # one order-4 counter is 336 references; allow a few copies, not 100
+    assert peak < 64 * 1024

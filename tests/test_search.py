@@ -75,6 +75,17 @@ def test_parallel_equals_serial():
         assert parallel == serial
 
 
+def test_parallel_node_budget_is_global():
+    cert = longest_avoiding(3, 2, max_nodes=500, parallel=2, split_depth=4)
+    assert not cert.exhausted
+    assert cert.nodes_explored <= 500
+    cert = longest_avoiding(2, 3, max_nodes=40, parallel=3, split_depth=2)
+    assert not cert.exhausted
+    assert cert.nodes_explored <= 40
+    # a budget larger than every share of the tree still exhausts it
+    assert longest_avoiding(2, 3, max_nodes=1000, parallel=3, split_depth=2) == longest_avoiding(2, 3)
+
+
 def test_tracker_matches_index_recomputation():
     for n in (2, 3):
         for length in range(1, 11):
