@@ -2,7 +2,7 @@
 
 The package follows the objects it computes with:
 
-- words:     ranked symbols/words, occurrences, borders, the tower function
+- words:     ranked symbols/words, occurrences, the tower function
 - zimin:     Zimin patterns, type and index, matching, unavoidability
 - counters:  Stockmeyer higher-order counters and their validation
 - automata:  a small DFA/NFA algebra (regex, product, minimise, equivalence)
@@ -19,7 +19,6 @@ from .words import (
     RankedWord,
     guarded_power,
     occurrences,
-    proper_borders,
     sym,
     tau,
     tower,
@@ -76,7 +75,6 @@ __all__ = [
     "RankedWord",
     "guarded_power",
     "occurrences",
-    "proper_borders",
     "sym",
     "tau",
     "tower",

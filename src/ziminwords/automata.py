@@ -1,10 +1,10 @@
 """A small deterministic-automaton algebra over explicit finite alphabets.
 
 Supports exactly what the coded-word lemmas need: regex to NFA (Thompson)
-to DFA (subset construction), product intersection, complement, partition
-refinement minimisation, equivalence with shortest counterexample, language
-concatenation/star/union/reversal, and bounded enumeration in
-length-then-lex order.
+to DFA (subset construction), product intersection, partition refinement
+minimisation, equivalence with shortest counterexample, language
+concatenation/star/reversal, bounded enumeration in length-then-lex order,
+and a finiteness test.
 """
 
 from __future__ import annotations
@@ -74,18 +74,6 @@ class Dfa:
 
     def __repr__(self):
         return f"<Dfa {self.n_states} states over {''.join(map(str, self.alphabet))}>"
-
-    def to_json(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet),
-            "start": self.start,
-            "accepting": sorted(self.accepting),
-            "transitions": [list(row) for row in self.delta],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Dfa":
-        return cls(data["alphabet"], data["transitions"], data["start"], data["accepting"])
 
 
 class Nfa:
@@ -347,13 +335,8 @@ def minimize(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet, new_delta, 0, new_accepting)
 
 
-def complement(dfa: Dfa) -> Dfa:
-    return Dfa(
-        dfa.alphabet, dfa.delta, dfa.start, set(range(dfa.n_states)) - dfa.accepting
-    )
-
-
-def _product(a: Dfa, b: Dfa, keep) -> Dfa:
+def intersect(a: Dfa, b: Dfa) -> Dfa:
+    """Product automaton accepting the words both a and b accept."""
     if a.alphabet != b.alphabet:
         raise ValueError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
     index = {(a.start, b.start): 0}
@@ -372,23 +355,9 @@ def _product(a: Dfa, b: Dfa, keep) -> Dfa:
         delta.append(row)
         i += 1
     accepting = {
-        i
-        for i, (qa, qb) in enumerate(order)
-        if keep(qa in a.accepting, qb in b.accepting)
+        i for i, (qa, qb) in enumerate(order) if qa in a.accepting and qb in b.accepting
     }
     return Dfa(a.alphabet, delta, 0, accepting)
-
-
-def intersect(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x and y)
-
-
-def union(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x or y)
-
-
-def difference(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x and not y)
 
 
 def equivalent(a: Dfa, b: Dfa) -> tuple[bool, Optional[str]]:
@@ -434,12 +403,8 @@ def dfa_to_nfa(dfa: Dfa) -> Nfa:
     return nfa
 
 
-def _as_nfa(x) -> Nfa:
-    return dfa_to_nfa(x) if isinstance(x, Dfa) else x
-
-
-def concat(a, b) -> Dfa:
-    na, nb = _as_nfa(a), _as_nfa(b)
+def concat(a: Dfa, b: Dfa) -> Dfa:
+    na, nb = dfa_to_nfa(a), dfa_to_nfa(b)
     if na.alphabet != nb.alphabet:
         raise ValueError("alphabet mismatch")
     out = Nfa(na.alphabet)
@@ -452,8 +417,8 @@ def concat(a, b) -> Dfa:
     return determinize(out)
 
 
-def star(a) -> Dfa:
-    na = _as_nfa(a)
+def star(a: Dfa) -> Dfa:
+    na = dfa_to_nfa(a)
     out = Nfa(na.alphabet)
     offset = _embed(out, na)
     out.accepting = {out.start}
@@ -463,8 +428,8 @@ def star(a) -> Dfa:
     return determinize(out)
 
 
-def reverse(a) -> Dfa:
-    na = _as_nfa(a)
+def reverse(a: Dfa) -> Dfa:
+    na = dfa_to_nfa(a)
     out = Nfa(na.alphabet)
     offset = _embed(out, na, flip=True)
     for q in na.accepting:
@@ -527,10 +492,6 @@ def enumerate_language(
                 if can[remaining][t]:
                     stack.append((t, depth + 1, word + symbols[s]))
     return out
-
-
-def is_empty(dfa: Dfa) -> bool:
-    return not any(q in dfa.accepting for q in _reachable(dfa))
 
 
 def is_finite(dfa: Dfa) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -50,11 +49,6 @@ EXIT_RESOURCE = 3
 # tower-sized report values (bounded by the digit caps) must survive str()
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_100_000))
-
-
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
 
 
 def _jsonable(x):
@@ -100,7 +94,7 @@ def _cmd_zimin(args):
     if args.zimin_cmd == "type":
         return {"result": zimin_type(_word_arg(args))}, EXIT_OK
     if args.zimin_cmd == "index":
-        cap = args.length_cap or _env_int("ZIMINWORDS_INDEX_CAP", DEFAULT_INDEX_LENGTH_CAP)
+        cap = DEFAULT_INDEX_LENGTH_CAP if args.length_cap is None else args.length_cap
         return {"result": zimin_index(_word_arg(args), max_length=cap)}, EXIT_OK
     if args.zimin_cmd == "encounters":
         pattern = Pattern.parse(args.pattern)
@@ -114,7 +108,7 @@ def _cmd_zimin(args):
             "witness": {f"x{v}": img for v, img in sorted(witness.assignment.items())},
         }, EXIT_OK
     if args.zimin_cmd == "unavoidable":
-        cap = args.pattern_cap or _env_int("ZIMINWORDS_PATTERN_CAP", DEFAULT_ZIMIN_PATTERN_CAP)
+        cap = DEFAULT_ZIMIN_PATTERN_CAP if args.pattern_cap is None else args.pattern_cap
         return {"result": is_unavoidable(Pattern.parse(args.pattern), cap=cap)}, EXIT_OK
     raise AssertionError
 
@@ -125,7 +119,7 @@ def _cmd_counters(args):
             for s in counter_stream(args.index, args.order):
                 sys.stdout.write(f"{s}\n")
             return None, EXIT_OK
-        cap = args.symbol_cap or _env_int("ZIMINWORDS_SYMBOL_CAP", DEFAULT_SYMBOL_CAP)
+        cap = DEFAULT_SYMBOL_CAP if args.symbol_cap is None else args.symbol_cap
         w = counter(args.index, args.order, symbol_cap=cap)
         return {"result": str(w), "length": len(w)}, EXIT_OK
     if args.counters_cmd == "check":
@@ -216,7 +210,7 @@ def _cmd_abelian(args):
         )
         return _certificate_report(cert, "g")
     if args.abelian_cmd == "bounds":
-        cap = args.digit_cap or _env_int("ZIMINWORDS_DIGIT_CAP", DEFAULT_DIGIT_CAP)
+        cap = DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap
         report = {
             "n": args.n,
             "k": args.k,
@@ -243,9 +237,9 @@ def _cmd_bounds(args):
 
 
 def _cmd_moment(args):
-    cap = args.digit_cap or _env_int("ZIMINWORDS_DIGIT_CAP", DEFAULT_DIGIT_CAP)
+    cap = DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap
     report = {
-        "match_probability": match_probability(args.n, args.k),
+        "match_probability": match_probability(args.n, args.k, cap),
         "first_moment_threshold": first_moment_threshold(args.n, args.k, cap),
     }
     if args.enumerate:

@@ -78,6 +78,8 @@ def _reversed_r_dfa() -> Dfa:
 
 def is_simple(a: str) -> bool:
     """len < 11, or a strict infix of one code, or containing a 10-run."""
+    if a.strip("01"):
+        raise ValueError(f"symbol {a.strip('01')[0]!r} not in alphabet 01")
     if len(a) < SIMPLE_LENGTH_THRESHOLD:
         return True
     if "0" * RUN_LENGTH_THRESHOLD in a or "1" * RUN_LENGTH_THRESHOLD in a:

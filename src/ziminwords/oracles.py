@@ -19,18 +19,6 @@ def occurrences_brute(needle: Sequence, haystack: Sequence) -> list[int]:
     return out
 
 
-def borders_brute(w: Sequence) -> list[int]:
-    """All border lengths of w by direct prefix/suffix comparison."""
-    n = len(w)
-    return [b for b in range(1, n) if w[:b] == w[n - b :]]
-
-
-def proper_borders_brute(w: Sequence) -> list[int]:
-    if len(w) == 0:
-        raise ValueError("empty word")
-    return [b for b in borders_brute(w) if 2 * b < len(w)]
-
-
 def zimin_type_recursive(w: Sequence) -> int:
     """Zimin type straight from the inductive characterisation, no memo."""
     n = len(w)
@@ -55,13 +43,6 @@ def zimin_index_enumerated(w: Sequence) -> int:
             if t > best:
                 best = t
     return best
-
-
-def encounters_zimin_brute(w: Sequence, n: int) -> bool:
-    """Whether w encounters Z_n, via the index oracle."""
-    if n <= 0:
-        return True
-    return zimin_index_enumerated(w) >= n
 
 
 # ---------------------------------------------------------------------------

@@ -317,15 +317,16 @@ def f_value(n: int, k: int, **kwargs) -> tuple[Optional[int], SearchCertificate]
 # first-moment quantities
 
 
-def match_probability(n: int, k: int) -> Fraction:
+def match_probability(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> Fraction:
     """Probability that a uniform word of length 2^n - 1 matches Z_n.
 
     Exactly k^(n+1-2^n): each variable x_i is free at its first occurrence
-    and forced at its other 2^(n-i) - 1 ones.
+    and forced at its other 2^(n-i) - 1 ones.  Raises ResourceLimitError
+    when the denominator would exceed ``digit_cap`` decimal digits.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    return Fraction(1, k ** (2**n - n - 1))
+    return Fraction(1, guarded_power(k, 2**n - n - 1, digit_cap))
 
 
 def match_count_enumerated(n: int, k: int, cap: int = 2_000_000) -> tuple[int, int]:

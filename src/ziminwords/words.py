@@ -1,4 +1,4 @@
-"""Basic word types and utilities: ranked symbols, occurrences, borders, towers.
+"""Basic word types and utilities: ranked symbols, occurrences, towers.
 
 Words are plain immutable sequences.  Binary words are ordinary strings over
 "01"; words over larger alphabets may be strings or tuples; ranked words (the
@@ -120,44 +120,6 @@ def occurrences(needle: Sequence, haystack: Sequence) -> list[int]:
         if haystack[m] == first and all(haystack[m + j] == needle[j] for j in range(1, n)):
             out.append(m)
     return out
-
-
-def prefix_function(w: Sequence) -> list[int]:
-    """Longest proper border of every prefix; pi[i] for the length-i prefix."""
-    n = len(w)
-    pi = [0] * (n + 1)
-    k = 0
-    for i in range(1, n):
-        while k and w[i] != w[k]:
-            k = pi[k]
-        if w[i] == w[k]:
-            k += 1
-        pi[i + 1] = k
-    return pi
-
-
-def all_borders(w: Sequence) -> list[int]:
-    """All border lengths b >= 1 of w (prefix == suffix), ascending."""
-    pi = prefix_function(w)
-    out = []
-    b = pi[len(w)]
-    while b:
-        out.append(b)
-        b = pi[b]
-    out.reverse()
-    return out
-
-
-def proper_borders(w: Sequence) -> list[int]:
-    """Border lengths b with 2b < |w|, ascending.
-
-    These are exactly the prefix lengths a for which w = a b a with both
-    parts non-empty, the decompositions driving the Zimin type recursion.
-    """
-    if len(w) == 0:
-        raise ValueError("proper borders of the empty word are undefined")
-    n = len(w)
-    return [b for b in all_borders(w) if 2 * b < n]
 
 
 def tower(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:

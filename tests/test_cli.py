@@ -52,9 +52,23 @@ def test_counters_make_over_cap(capsys):
     assert "error" in report
 
 
-def test_symbol_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("ZIMINWORDS_SYMBOL_CAP", "3")
-    code, _ = invoke(["counters", "make", "--order", "2", "--index", "0"], capsys)
+def test_symbol_cap_env_override(capsys):
+    code, _ = invoke(["counters", "make", "--order", "2", "--index", "0", "--symbol-cap", "3"], capsys)
+    assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zimin", "index", "aaaa", "--length-cap", "0"],
+        ["counters", "make", "--order", "2", "--index", "0", "--symbol-cap", "0"],
+        ["abelian", "bounds", "--n", "2", "--k", "2", "--digit-cap", "0"],
+        ["zimin", "unavoidable", "xyx", "--pattern-cap", "0"],
+    ],
+)
+def test_cap_of_zero_is_honoured(argv):
+    code, out, err = _run_in_process(argv)
+    _assert_one_json_line(code, out, err)
     assert code == EXIT_RESOURCE
 
 
@@ -155,9 +169,9 @@ def test_usage_error_exit_code():
     assert proc.returncode == EXIT_USAGE
 
 
-def _cli(*argv):
+def _cli(*argv, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "ziminwords.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "ziminwords.cli", *argv], capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -204,6 +218,22 @@ def test_counters_make_stream_out_of_range_is_usage_error():
     assert "out of range" in json.loads(proc.stdout)["error"]
 
 
+def test_search_moment_respects_digit_cap():
+    # the denominator 2^(2^40 - 41) has ~3.3e11 digits; unguarded, this never returns
+    proc = _cli("search", "moment", "--n", "40", "--k", "2", timeout=30)
+    assert proc.returncode == EXIT_RESOURCE
+    assert "Traceback" not in proc.stderr
+    assert "digit" in json.loads(proc.stdout)["error"]
+
+
+@pytest.mark.parametrize("word", ["012", "01201201201"])
+def test_psi_simple_non_binary_is_usage_error(word):
+    proc = _cli("psi", "simple", word)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "'2'" in json.loads(proc.stdout)["error"]
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -233,3 +263,44 @@ def test_fuzz_counters_make(order, index):
 )
 def test_fuzz_psi_encode_counter(text):
     _assert_one_json_line(*_run_in_process(["psi", "encode", f"--counter={text}"]))
+
+
+def _optional_flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+_small_int = st.integers(min_value=-2, max_value=8)
+_word = st.text(alphabet="01ab", max_size=12)
+_pattern = st.one_of(
+    st.text(alphabet="xyz", max_size=4),
+    st.lists(st.sampled_from(["x1", "x2", "x3", "x0", "y", "7"]), max_size=4).map(" ".join),
+)
+# searches are always budgeted: an unbudgeted f(4,2) search never ends
+_budget = st.integers(max_value=200)
+_cli_commands = st.one_of(
+    _word.map(lambda w: ["zimin", "type", w]),
+    st.builds(lambda w, cap: ["zimin", "index", w, *cap], _word, _optional_flag("length-cap", _small_int)),
+    st.builds(lambda w, p: ["zimin", "encounters", w, p], _word, _pattern),
+    st.builds(
+        lambda n, k, b: ["search", "f", f"--n={n}", f"--k={k}", f"--budget-nodes={b}"],
+        _small_int, st.integers(min_value=-1, max_value=40), _budget,
+    ),
+    st.builds(
+        lambda n, k, b: ["abelian", "g", f"--n={n}", f"--k={k}", f"--budget-nodes={b}"],
+        _small_int, _small_int, _budget,
+    ),
+    st.builds(
+        lambda n, k, cap: ["search", "moment", f"--n={n}", f"--k={k}", *cap],
+        _small_int, st.integers(min_value=-1, max_value=50), _optional_flag("digit-cap", st.integers(-1, 100)),
+    ),
+    st.builds(
+        lambda n, k, cap: ["abelian", "bounds", f"--n={n}", f"--k={k}", *cap],
+        _small_int, _small_int, _optional_flag("digit-cap", st.integers(-1, 100)),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_cli_commands)
+def test_fuzz_query_commands(argv):
+    _assert_one_json_line(*_run_in_process(argv))

@@ -169,6 +169,9 @@ def test_match_probability_values():
     assert match_probability(2, 2) == Fraction(1, 2)
     assert match_probability(3, 2) == Fraction(1, 16)
     assert match_probability(1, 7) == 1
+    assert match_probability(21, 2) == Fraction(1, 2 ** (2**21 - 22))
+    with pytest.raises(ResourceLimitError):
+        match_probability(40, 2, digit_cap=10**6)
 
 
 def test_match_count_enumerations():

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ziminwords import occurrences, proper_borders, sym, tau, tower
+from ziminwords import occurrences, sym, tau, tower
 from ziminwords.errors import ResourceLimitError
-from ziminwords.oracles import borders_brute, occurrences_brute
-from ziminwords.words import RankedSymbol, RankedWord, all_borders
+from ziminwords.oracles import occurrences_brute
+from ziminwords.words import RankedSymbol, RankedWord
 
 
 def test_occurrences_examples():
@@ -26,24 +26,6 @@ def test_occurrences_matches_brute(needle, haystack):
         assert got == occurrences_brute(needle, haystack)
     for m in got:
         assert haystack[m : m + len(needle)] == needle
-
-
-def test_proper_borders_examples():
-    assert proper_borders("aba") == [1]
-    assert proper_borders("aa") == []
-    # all prefix/suffix equalities of aaabaaa with 2b < 7
-    assert proper_borders("aaabaaa") == [1, 2, 3]
-
-
-def test_proper_borders_empty_word_rejected():
-    with pytest.raises(ValueError):
-        proper_borders("")
-
-
-@given(st.text(alphabet="ab", min_size=1, max_size=14))
-def test_borders_match_brute(w):
-    assert all_borders(w) == borders_brute(w)
-    assert proper_borders(w) == [b for b in borders_brute(w) if 2 * b < len(w)]
 
 
 def test_tower_values():
