@@ -3,8 +3,12 @@
 Supports exactly what the coded-word lemmas need: regex to NFA (Thompson)
 to DFA (subset construction), product intersection, partition refinement
 minimisation, equivalence with shortest counterexample, language
-concatenation/star/reversal, bounded enumeration in length-then-lex order,
-and a finiteness test.
+concatenation/star, bounded enumeration in length-then-lex order, and a
+finiteness test.
+
+Regexes are literals over the alphabet, ``|``, ``*``, parentheses and empty
+alternatives, as in ``(|0|1)(01)*00``; ``+``, ``?`` and ``{m,n}`` are
+rejected with RegexSyntaxError.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ DEFAULT_ENUMERATION_CAP = 200_000
 class Dfa:
     """Total DFA: states 0..n-1, transition table state x symbol -> state."""
 
-    __slots__ = ("alphabet", "delta", "start", "accepting")
+    __slots__ = ("alphabet", "delta", "start", "accepting", "live")
 
     def __init__(self, alphabet, delta, start, accepting):
         alphabet = tuple(alphabet)
@@ -40,6 +44,7 @@ class Dfa:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "live", _live_states(delta, accepting))
 
     def __setattr__(self, name, value):
         raise AttributeError("Dfa is immutable")
@@ -55,21 +60,28 @@ class Dfa:
             raise ValueError(f"symbol {symbol!r} not in alphabet {self.alphabet}") from None
 
     def accepts(self, word: Iterable) -> bool:
+        """Whether word is accepted; stops at the first dead state, so a
+        symbol past that point is not read (nor checked against the alphabet)."""
         q = self.start
         for c in word:
+            if q not in self.live:
+                return False
             q = self.delta[q][self._index(c)]
         return q in self.accepting
 
     def accepting_prefixes(self, word) -> list[int]:
-        """All i such that word[:i] is accepted."""
-        out = []
+        """All i such that word[:i] is accepted; stops at the first dead state,
+        so a symbol past that point is not read (nor checked against the alphabet)."""
         q = self.start
-        if q in self.accepting:
-            out.append(0)
-        for i, c in enumerate(word):
+        out = [0] if q in self.accepting else []
+        if q not in self.live:
+            return out
+        for i, c in enumerate(word, 1):
             q = self.delta[q][self._index(c)]
             if q in self.accepting:
-                out.append(i + 1)
+                out.append(i)
+            elif q not in self.live:
+                break
         return out
 
     def __repr__(self):
@@ -142,36 +154,9 @@ def _parse_regex(text: str, alphabet: tuple) -> "_Node":
 
     def parse_rep():
         node = parse_atom()
-        while peek() in ("*", "+", "?", "{"):
-            c = take()
-            if c == "*":
-                node = ("star", node)
-            elif c == "+":
-                node = ("cat", node, ("star", node))
-            elif c == "?":
-                node = ("alt", [node, ("eps",)])
-            else:
-                digits = ""
-                lo = hi = None
-                while peek() is not None and peek() != "}":
-                    digits += take()
-                if peek() != "}":
-                    raise RegexSyntaxError("unterminated {m,n} repetition")
-                take()
-                parts = digits.split(",")
-                try:
-                    lo = int(parts[0])
-                    hi = int(parts[1]) if len(parts) > 1 else lo
-                except (ValueError, IndexError):
-                    raise RegexSyntaxError(f"bad repetition bounds {{{digits}}}") from None
-                if hi < lo:
-                    raise RegexSyntaxError(f"bad repetition bounds {{{digits}}}")
-                base = node
-                node = ("eps",) if lo == 0 else base
-                for _ in range(1, lo):
-                    node = ("cat", node, base)
-                for _ in range(hi - lo):
-                    node = ("cat", node, ("alt", [base, ("eps",)]))
+        while peek() == "*":
+            take()
+            node = ("star", node)
         return node
 
     def parse_atom():
@@ -428,32 +413,32 @@ def star(a: Dfa) -> Dfa:
     return determinize(out)
 
 
-def reverse(a: Dfa) -> Dfa:
-    na = dfa_to_nfa(a)
-    out = Nfa(na.alphabet)
-    offset = _embed(out, na, flip=True)
-    for q in na.accepting:
-        out.add(out.start, None, q + offset)
-    out.accepting = {na.start + offset}
-    return determinize(out)
-
-
-def _embed(out: Nfa, src: Nfa, flip: bool = False) -> int:
+def _embed(out: Nfa, src: Nfa) -> int:
     offset = len(out.transitions)
     for _ in range(len(src.transitions)):
         out.new_state()
     for q, row in enumerate(src.transitions):
         for symbol, targets in row.items():
             for t in targets:
-                if flip:
-                    out.add(t + offset, symbol, q + offset)
-                else:
-                    out.add(q + offset, symbol, t + offset)
+                out.add(q + offset, symbol, t + offset)
     return offset
 
 
 # ---------------------------------------------------------------------------
 # language inspection
+
+
+def _live_states(delta, accepting) -> frozenset:
+    """The states from which some word is accepted."""
+    live = set(accepting)
+    grow = True
+    while grow:
+        grow = False
+        for q, row in enumerate(delta):
+            if q not in live and any(t in live for t in row):
+                live.add(q)
+                grow = True
+    return frozenset(live)
 
 
 def _co_reachable_table(dfa: Dfa, max_len: int) -> list[list[bool]]:
@@ -496,18 +481,7 @@ def enumerate_language(
 
 def is_finite(dfa: Dfa) -> bool:
     """No cycle lies on a path from the start to an accepting state."""
-    reach = set(_reachable(dfa))
-    co = set()
-    grow = True
-    while grow:
-        grow = False
-        for q in range(dfa.n_states):
-            if q in co:
-                continue
-            if q in dfa.accepting or any(t in co for t in dfa.delta[q]):
-                co.add(q)
-                grow = True
-    useful = reach & co
+    useful = set(_reachable(dfa)) & dfa.live
     color = {}  # 0 = in progress, 1 = done
 
     def has_cycle(q):

@@ -71,11 +71,6 @@ def language_dfas() -> LanguageDfas:
     )
 
 
-@lru_cache(maxsize=1)
-def _reversed_r_dfa() -> Dfa:
-    return automata.minimize(automata.reverse(language_dfas().R))
-
-
 def is_simple(a: str) -> bool:
     """len < 11, or a strict infix of one code, or containing a 10-run."""
     if a.strip("01"):
@@ -115,61 +110,46 @@ class ParseContext:
     start: int
 
 
-def _code_block_chain(a: str, start: int) -> list[tuple[int, tuple[RankedSymbol, ...]]]:
+def _code_block_chain(a: str, start: int) -> tuple[int, tuple[RankedSymbol, ...]]:
     """Greedy maximal decomposition of a[start:] into code blocks.
 
-    Returns the cut positions: (end, symbols decoded so far) after each
-    complete block.  C is a prefix code, so the chain is unique.
+    Returns the end of the last complete block and the symbols decoded.
+    C is a prefix code, so the chain is unique.
     """
-    chain = []
     symbols: list[RankedSymbol] = []
     pos = start
-    n = len(a)
-    while pos + 4 <= n:
-        c = a[pos]
-        if a[pos + 1] != c:
+    while pos + 4 <= len(a) and a[pos + 1] == a[pos]:
+        order, q = 1, pos + 2
+        while a[q : q + 2] == "01":
+            order += 1
+            q += 2
+        if a[q : q + 2] != a[pos] * 2:
             break
-        order = 1
-        q = pos + 2
-        terminal = c + c
-        closed = False
-        while q + 2 <= n:
-            pair = a[q : q + 2]
-            if pair == terminal:
-                closed = True
-                break
-            if pair == "01":
-                order += 1
-                q += 2
-            else:
-                break
-        if not closed:
-            break
-        symbols.append(RankedSymbol(int(c), order))
+        symbols.append(RankedSymbol(int(a[pos]), order))
         pos = q + 2
-        chain.append((pos, tuple(symbols)))
-    return chain
+    return pos, tuple(symbols)
 
 
 def parses(a: str) -> list[Parse]:
     """Every triple (l, u, r) in L x Sigma* x R with l psi(u) r == a.
 
-    Ordered by |l| ascending, then |u| ascending.  Non-simple infixes of
-    coded words admit exactly one parse; unparseable words give [].
+    At most one parse per left part, ordered by |l| ascending.  Non-simple
+    infixes of coded words admit exactly one parse; unparseable words
+    give [].
     """
+    bad = a.strip("01")
+    if bad:
+        raise ValueError(f"symbol {bad[0]!r} not in alphabet ('0', '1')")
     dfas = language_dfas()
-    n = len(a)
-    l_ends = dfas.L.accepting_prefixes(a)
-    rev_accept = _reversed_r_dfa().accepting_prefixes(a[::-1])
-    r_starts = {n - i for i in rev_accept}
     out = []
-    for i in l_ends:
-        left = a[:i]
-        if i in r_starts:
-            out.append(Parse(left, RankedWord(()), a[i:]))
-        for end, symbols in _code_block_chain(a, i):
-            if end in r_starts:
-                out.append(Parse(left, RankedWord(symbols), a[end:]))
+    for i in dfas.L.accepting_prefixes(a):
+        # R holds strict prefixes of codes, and in a prefix code no strict
+        # prefix of a code begins with a whole code.  Every cut of the
+        # chain but the last is followed by a whole code, so only the last
+        # cut can leave a remainder in R: one parse per left part at most.
+        end, symbols = _code_block_chain(a, i)
+        if dfas.R.accepts(a[end:]):
+            out.append(Parse(a[:i], RankedWord(symbols), a[end:]))
     return out
 
 

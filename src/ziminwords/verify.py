@@ -41,6 +41,7 @@ from .coding import (
     psi_symbol,
 )
 from .counters import counter, counter_stream, decode_counter
+from .errors import ResourceLimitError
 from .oracles import (
     parses_all_splits,
     simple_brute,
@@ -115,7 +116,14 @@ def check_regular_identities() -> list[CheckResult]:
 
 
 def check_counter_structure(order: int) -> list[CheckResult]:
-    """Distinctness, unique sub-counter occurrence, order-from-position."""
+    """Distinctness, unique sub-counter occurrence, order-from-position.
+
+    Every counter of the order is built, so orders above 4 are refused.
+    """
+    if order > 4:
+        raise ResourceLimitError(
+            f"order {order}: the structure check builds all tau({order}) counters; it stops at order 4"
+        )
     out = []
     count = tau(order)
     as_bytes = {}

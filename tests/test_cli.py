@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ziminwords.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, run
+from ziminwords.coding import parses
 
 
 def invoke(argv, capsys):
@@ -234,6 +235,35 @@ def test_psi_simple_non_binary_is_usage_error(word):
     assert "'2'" in json.loads(proc.stdout)["error"]
 
 
+@pytest.mark.parametrize(
+    "word, stdout",
+    [
+        ("0000002", """{"command": "psi", "error": "symbol '2' not in alphabet ('0', '1')"}\n"""),
+        ("1111x", """{"command": "psi", "error": "symbol 'x' not in alphabet ('0', '1')"}\n"""),
+        ("0101012", """{"command": "psi", "error": "symbol '2' not in alphabet ('0', '1')"}\n"""),
+        ("0110002", """{"command": "psi", "error": "symbol '2' not in alphabet ('0', '1')"}\n"""),
+        ("10010x2", """{"command": "psi", "error": "symbol 'x' not in alphabet ('0', '1')"}\n"""),
+    ],
+)
+def test_psi_parses_non_binary_is_usage_error(word, stdout):
+    # in the last two words every L and R scan stops at a dead state before
+    # the first bad symbol, so only the up-front alphabet check rejects them
+    with pytest.raises(ValueError):
+        parses(word)
+    code, out, err = _run_in_process(["psi", "parses", word])
+    assert code == EXIT_USAGE
+    assert out == stdout
+    assert "Traceback" not in err
+
+
+def test_counters_check_order_5_is_refused():
+    # all tau(5) = 2^65536 counters would be built; unguarded, this never returns
+    proc = _cli("counters", "check", "--order", "5", timeout=30)
+    assert proc.returncode == EXIT_RESOURCE
+    assert "Traceback" not in proc.stderr
+    assert "tau(5)" in json.loads(proc.stdout)["error"]
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -275,6 +305,20 @@ _pattern = st.one_of(
     st.text(alphabet="xyz", max_size=4),
     st.lists(st.sampled_from(["x1", "x2", "x3", "x0", "y", "7"]), max_size=4).map(" ".join),
 )
+
+
+@st.composite
+def _search_bounds(draw):
+    order = draw(st.integers(-1, 5))
+    encoded = draw(st.booleans())
+    if encoded and order == 4:
+        # by default (or with --indices 0) encoded order 4 checks 256 counters, about 30 s
+        indices = [f"--indices={draw(st.integers(1, 3))}"]
+    else:
+        indices = draw(_optional_flag("indices", st.integers(0, 3)))
+    return ["search", "bounds", f"--order={order}", *indices, *(["--encoded"] if encoded else [])]
+
+
 # searches are always budgeted: an unbudgeted f(4,2) search never ends
 _budget = st.integers(max_value=200)
 _cli_commands = st.one_of(
@@ -297,6 +341,11 @@ _cli_commands = st.one_of(
         lambda n, k, cap: ["abelian", "bounds", f"--n={n}", f"--k={k}", *cap],
         _small_int, _small_int, _optional_flag("digit-cap", st.integers(-1, 100)),
     ),
+    st.builds(
+        lambda cmd, w: ["psi", cmd, w], st.sampled_from(["parses", "simple"]), st.text(alphabet="01a", max_size=40)
+    ),
+    _search_bounds(),
+    st.sampled_from([-1, 0, 1, 2, 3, 5, 6, 7]).map(lambda order: ["counters", "check", f"--order={order}"]),
 )
 
 

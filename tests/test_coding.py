@@ -141,21 +141,27 @@ def test_parses_exact_code():
         assert p.value == "0000"
 
 
-def test_parses_match_all_splits_oracle():
+def _infixes_and_binary_words():
     for w in ranked_words_over_sigma2(2):
         a = psi(w)
         for s in range(len(a)):
             for e in range(s + 1, len(a) + 1):
-                infix = a[s:e]
-                got = parses(infix)
-                expected = parses_all_splits(infix)
-                assert len(got) == len(expected), infix
-                got_as_tuples = [
-                    (p.left, tuple((q.bit, q.order) for q in p.center), p.right) for p in got
-                ]
-                assert sorted(got_as_tuples) == sorted(expected), infix
-                for p in got:
-                    assert p.value == infix
+                yield a[s:e]
+    # words that are not coded reach wrong left parts and dead states
+    yield from binary_words(12)
+
+
+def test_parses_match_all_splits_oracle():
+    for infix in _infixes_and_binary_words():
+        got = parses(infix)
+        expected = parses_all_splits(infix)
+        assert len(got) == len(expected), infix
+        got_as_tuples = [
+            (p.left, tuple((q.bit, q.order) for q in p.center), p.right) for p in got
+        ]
+        assert sorted(got_as_tuples) == sorted(expected), infix
+        for p in got:
+            assert p.value == infix
 
 
 def test_unique_parse_for_non_simple_infixes():
