@@ -22,9 +22,10 @@ DEFAULT_ENUMERATION_CAP = 200_000
 
 
 class Dfa:
-    """Total DFA: states 0..n-1, transition table state x symbol -> state."""
+    """Total DFA: states 0..n-1, transition table state x symbol -> state;
+    the scans read ``step[q]``, row q as a symbol -> state dict."""
 
-    __slots__ = ("alphabet", "delta", "start", "accepting", "live")
+    __slots__ = ("alphabet", "delta", "start", "accepting", "live", "step")
 
     def __init__(self, alphabet, delta, start, accepting):
         alphabet = tuple(alphabet)
@@ -45,6 +46,7 @@ class Dfa:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "accepting", accepting)
         object.__setattr__(self, "live", _live_states(delta, accepting))
+        object.__setattr__(self, "step", tuple({c: row[alphabet.index(c)] for c in alphabet} for row in delta))
 
     def __setattr__(self, name, value):
         raise AttributeError("Dfa is immutable")
@@ -62,25 +64,33 @@ class Dfa:
     def accepts(self, word: Iterable) -> bool:
         """Whether word is accepted; stops at the first dead state, so a
         symbol past that point is not read (nor checked against the alphabet)."""
-        q = self.start
+        q, step, live = self.start, self.step, self.live
+        if q not in live:
+            return False
         for c in word:
-            if q not in self.live:
+            try:
+                q = step[q][c]
+            except (KeyError, TypeError):
+                q = self.delta[q][self._index(c)]
+            if q not in live:
                 return False
-            q = self.delta[q][self._index(c)]
         return q in self.accepting
 
     def accepting_prefixes(self, word) -> list[int]:
         """All i such that word[:i] is accepted; stops at the first dead state,
         so a symbol past that point is not read (nor checked against the alphabet)."""
-        q = self.start
-        out = [0] if q in self.accepting else []
-        if q not in self.live:
+        q, step, live, accepting = self.start, self.step, self.live, self.accepting
+        out = [0] if q in accepting else []
+        if q not in live:
             return out
         for i, c in enumerate(word, 1):
-            q = self.delta[q][self._index(c)]
-            if q in self.accepting:
+            try:
+                q = step[q][c]
+            except (KeyError, TypeError):
+                q = self.delta[q][self._index(c)]
+            if q in accepting:
                 out.append(i)
-            elif q not in self.live:
+            elif q not in live:
                 break
         return out
 

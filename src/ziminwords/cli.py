@@ -81,9 +81,9 @@ def _checks_report(checks) -> tuple[dict, int]:
     return report, EXIT_OK if report["all_passed"] else EXIT_FAIL
 
 
-def _print_check_lines(checks, stream=sys.stderr):
+def _print_check_lines(checks, stream=None):
     for c in checks:
-        print(c.line(), file=stream)
+        print(c.line(), file=stream or sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,8 @@ def _cmd_abelian(args):
 
 
 def _cmd_bounds(args):
+    if args.indices is not None and args.indices <= 0:
+        raise ValueError(f"--indices takes a positive count N (indices 0..N-1), got {args.indices}")
     return {
         "report": counter_witness_bounds(
             args.order,
@@ -402,11 +404,11 @@ def main(argv=None) -> int:
     return code
 
 
-def _pretty(report, stream=sys.stderr):
+def _pretty(report, stream=None):
     for key, value in report.items():
         if key in ("command", "inputs"):
             continue
-        print(f"{key}: {value}", file=stream)
+        print(f"{key}: {value}", file=stream or sys.stderr)
 
 
 if __name__ == "__main__":

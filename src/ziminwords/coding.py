@@ -13,6 +13,7 @@ exactly one parse (l, u, r) in L x Sigma* x R with value l psi(u) r.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -110,24 +111,18 @@ class ParseContext:
     start: int
 
 
-def _code_block_chain(a: str, start: int) -> tuple[int, tuple[RankedSymbol, ...]]:
-    """Greedy maximal decomposition of a[start:] into code blocks.
+# C as a Python regex, its groups non-capturing ("(" only opens groups in the
+# regexes above) so that findall returns whole codes.  C is a prefix code: at
+# most one code begins at any position, so the greedy (C)* match is the
+# unique maximal chain, and as nothing follows the star the engine never
+# backtracks into a shorter chain.
+_C_CODE = re.compile(C_REGEX.replace("(", "(?:"))
+_C_CHAIN = re.compile(f"(?:{_C_CODE.pattern})*")
 
-    Returns the end of the last complete block and the symbols decoded.
-    C is a prefix code, so the chain is unique.
-    """
-    symbols: list[RankedSymbol] = []
-    pos = start
-    while pos + 4 <= len(a) and a[pos + 1] == a[pos]:
-        order, q = 1, pos + 2
-        while a[q : q + 2] == "01":
-            order += 1
-            q += 2
-        if a[q : q + 2] != a[pos] * 2:
-            break
-        symbols.append(RankedSymbol(int(a[pos]), order))
-        pos = q + 2
-    return pos, tuple(symbols)
+
+@lru_cache(maxsize=64)
+def _symbol_of_code(code: str) -> RankedSymbol:
+    return RankedSymbol(int(code[0]), len(code) // 2 - 1)
 
 
 def parses(a: str) -> list[Parse]:
@@ -147,9 +142,12 @@ def parses(a: str) -> list[Parse]:
         # prefix of a code begins with a whole code.  Every cut of the
         # chain but the last is followed by a whole code, so only the last
         # cut can leave a remainder in R: one parse per left part at most.
-        end, symbols = _code_block_chain(a, i)
-        if dfas.R.accepts(a[end:]):
-            out.append(Parse(a[:i], RankedWord(symbols), a[end:]))
+        end = _C_CHAIN.match(a, i).end()
+        right = a[end:]
+        if dfas.R.accepts(right):
+            # a list, not an iterator, so RankedWord's tuple gets its exact size
+            symbols = list(map(_symbol_of_code, _C_CODE.findall(a, i, end)))
+            out.append(Parse(a[:i], RankedWord(symbols), right))
     return out
 
 

@@ -25,6 +25,30 @@ def test_regex_operators():
     assert au.from_regex("(|0|1)").accepts("")
 
 
+def _recorded(word, log):
+    for c in word:
+        log.append(c)
+        yield c
+
+
+def test_dfa_symbol_outside_alphabet():
+    d = au.minimize(au.from_regex("00(01)*00"))
+    # read before the dead state: both scans raise the same message
+    for bad in ["002", ["0", ["x"], "0"]]:
+        messages = set()
+        for scan in (d.accepts, d.accepting_prefixes):
+            with pytest.raises(ValueError) as err:
+                scan(bad)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        assert "not in alphabet ('0', '1')" in messages.pop()
+    # "1" leads to the dead state, so the symbols after it are never read
+    for scan, dead in ((d.accepts, False), (d.accepting_prefixes, [])):
+        log = []
+        assert scan(_recorded(["1", "2", ["x"]], log)) == dead
+        assert log == ["1"]
+
+
 def test_regex_syntax_errors():
     for bad in ["(01", "01)", "0{2", "0{3,1}", "0{a}", "*0", "2"]:
         with pytest.raises(RegexSyntaxError):

@@ -264,6 +264,23 @@ def test_counters_check_order_5_is_refused():
     assert "tau(5)" in json.loads(proc.stdout)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["--order=3", "--indices=0"], ["--order=3", "--indices=-2"], ["--order=4", "--encoded", "--indices=0"]]
+)
+def test_search_bounds_nonpositive_indices_is_usage_error(argv):
+    code, out, err = _run_in_process(["search", "bounds", *argv])
+    assert code == EXIT_USAGE
+    _assert_one_json_line(code, out, err)
+    assert "--indices takes a positive count" in json.loads(out)["error"]
+
+
+def test_check_lines_follow_redirected_stderr():
+    code, out, err = _run_in_process(["counters", "check", "--order", "3"])
+    assert code == EXIT_OK
+    passes = [line for line in err.splitlines() if line.startswith("PASS")]
+    assert len(passes) == len(json.loads(out)["checks"]) > 0
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -312,7 +329,7 @@ def _search_bounds(draw):
     order = draw(st.integers(-1, 5))
     encoded = draw(st.booleans())
     if encoded and order == 4:
-        # by default (or with --indices 0) encoded order 4 checks 256 counters, about 30 s
+        # by default encoded order 4 checks all 256 counters, about 30 s
         indices = [f"--indices={draw(st.integers(1, 3))}"]
     else:
         indices = draw(_optional_flag("indices", st.integers(0, 3)))

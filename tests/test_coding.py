@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ziminwords import RankedWord, automata as au, counter, occurrences, sym, zimin_index
 from ziminwords.coding import (
@@ -151,17 +153,34 @@ def _infixes_and_binary_words():
     yield from binary_words(12)
 
 
+def _assert_parses_match_oracle(infix):
+    got = parses(infix)
+    expected = parses_all_splits(infix)
+    assert len(got) == len(expected), infix
+    got_as_tuples = [
+        (p.left, tuple((q.bit, q.order) for q in p.center), p.right) for p in got
+    ]
+    assert sorted(got_as_tuples) == sorted(expected), infix
+    for p in got:
+        assert p.value == infix
+
+
 def test_parses_match_all_splits_oracle():
     for infix in _infixes_and_binary_words():
-        got = parses(infix)
-        expected = parses_all_splits(infix)
-        assert len(got) == len(expected), infix
-        got_as_tuples = [
-            (p.left, tuple((q.bit, q.order) for q in p.center), p.right) for p in got
-        ]
-        assert sorted(got_as_tuples) == sorted(expected), infix
-        for p in got:
-            assert p.value == infix
+        _assert_parses_match_oracle(infix)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    w=st.lists(st.builds(sym, st.integers(0, 1), st.integers(1, 8)), max_size=6),
+    cut=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+)
+def test_parses_match_oracle_on_random_codings(w, cut):
+    # codes up to order 8 carry long (01)* runs; the exhaustive cases above
+    # stop at codings over order-2 symbols and at 12-bit words
+    a = psi(w)
+    s, e = sorted(round(x * len(a)) for x in cut)
+    _assert_parses_match_oracle(a[s:e])
 
 
 def test_unique_parse_for_non_simple_infixes():
