@@ -55,12 +55,6 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.delta)
 
-    def _index(self, symbol) -> int:
-        try:
-            return self.alphabet.index(symbol)
-        except ValueError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet {self.alphabet}") from None
-
     def accepts(self, word: Iterable) -> bool:
         """Whether word is accepted; stops at the first dead state, so a
         symbol past that point is not read (nor checked against the alphabet)."""
@@ -71,7 +65,7 @@ class Dfa:
             try:
                 q = step[q][c]
             except (KeyError, TypeError):
-                q = self.delta[q][self._index(c)]
+                raise ValueError(f"symbol {c!r} not in alphabet {self.alphabet}") from None
             if q not in live:
                 return False
         return q in self.accepting
@@ -87,7 +81,7 @@ class Dfa:
             try:
                 q = step[q][c]
             except (KeyError, TypeError):
-                q = self.delta[q][self._index(c)]
+                raise ValueError(f"symbol {c!r} not in alphabet {self.alphabet}") from None
             if q in accepting:
                 out.append(i)
             elif q not in live:

@@ -30,7 +30,7 @@ from .search import (
     match_count_enumerated,
     match_probability,
 )
-from .words import DEFAULT_DIGIT_CAP, RankedWord, tau
+from .words import DEFAULT_DIGIT_CAP, RankedWord
 from .zimin import (
     DEFAULT_INDEX_LENGTH_CAP,
     DEFAULT_ZIMIN_PATTERN_CAP,
@@ -71,7 +71,10 @@ def _word_arg(args):
     return args.word
 
 
-def _checks_report(checks) -> tuple[dict, int]:
+def _run_checks(checks, stream=None) -> tuple[dict, int]:
+    """Print the PASS/FAIL lines (stderr by default) and build the report."""
+    for c in checks:
+        print(c.line(), file=stream or sys.stderr)
     report = {
         "checks": [
             {"name": c.name, "passed": c.passed, "details": c.details} for c in checks
@@ -79,11 +82,6 @@ def _checks_report(checks) -> tuple[dict, int]:
         "all_passed": all(c.passed for c in checks),
     }
     return report, EXIT_OK if report["all_passed"] else EXIT_FAIL
-
-
-def _print_check_lines(checks, stream=None):
-    for c in checks:
-        print(c.line(), file=stream or sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +121,7 @@ def _cmd_counters(args):
         w = counter(args.index, args.order, symbol_cap=cap)
         return {"result": str(w), "length": len(w)}, EXIT_OK
     if args.counters_cmd == "check":
-        checks = vf.check_counter_structure(args.order)
-        checks.append(vf.check_counter_roundtrip(args.order, range(min(tau(args.order), 256))))
-        checks.append(vf.check_counter_zimin_for_order(args.order))
-        _print_check_lines(checks)
-        return _checks_report(checks)
+        return _run_checks(vf.counter_suite(args.order) + [vf.check_counter_zimin_for_order(args.order)])
     raise AssertionError
 
 
@@ -156,19 +150,12 @@ def _cmd_psi(args):
     if args.psi_cmd == "simple":
         return {"result": is_simple(args.word)}, EXIT_OK
     if args.psi_cmd == "verify-lemmas":
-        checks = [vf.check_infix_code(), vf.check_characterization()]
-        checks += vf.check_parse_counts_and_uniqueness()
-        checks += vf.check_occurrence_bijection()
-        checks += vf.check_boundary_theorem((2,) if args.scale == "small" else (2, 3))
-        _print_check_lines(checks)
-        return _checks_report(checks)
+        return _run_checks(vf.psi_suite(args.scale))
     raise AssertionError
 
 
 def _cmd_regular(args):
-    checks = vf.check_regular_identities()
-    _print_check_lines(checks)
-    return _checks_report(checks)
+    return _run_checks(vf.check_regular_identities())
 
 
 def _certificate_report(cert, value_name):
@@ -220,9 +207,7 @@ def _cmd_abelian(args):
         }
         return report, EXIT_OK
     if args.abelian_cmd == "oracles":
-        checks = vf.check_abelian_suite()
-        _print_check_lines(checks)
-        return _checks_report(checks)
+        return _run_checks(vf.check_abelian_suite())
     raise AssertionError
 
 
@@ -251,9 +236,7 @@ def _cmd_moment(args):
 
 
 def _cmd_verify(args):
-    checks = vf.run_suite(args.scale)
-    _print_check_lines(checks, stream=sys.stdout if args.lines else sys.stderr)
-    return _checks_report(checks)
+    return _run_checks(vf.run_suite(args.scale), sys.stdout if args.lines else None)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--budget-nodes", type=int, default=None, help="node budget, shared by all tasks under --parallel")
     q.add_argument(
-        "--budget-seconds", type=float, default=None, help="time budget; under --parallel, each subtree task gets all of it"
+        "--budget-seconds", type=float, default=None, help="time budget; under --parallel, each run of a subtree task gets all of it"
     )
     q.add_argument("--parallel", type=int, default=1)
     q.add_argument("--split-depth", type=int, default=None)

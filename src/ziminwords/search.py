@@ -251,9 +251,12 @@ def longest_avoiding(
     lexicographically smallest witness), so serial and parallel searches
     return identical certificates.  In parallel mode ``max_nodes`` is
     global: the nodes left after the frontier phase are split evenly across
-    the subtree tasks, so ``nodes_explored`` never exceeds it.
-    ``max_seconds`` applies to the frontier phase and to each task
-    separately.  Checkpoint/resume is serial-only.
+    the subtree tasks, and the tasks that run out are rerun from scratch
+    with the nodes the exhausted ones left over, in rounds, until a round
+    exhausts none of them.  So ``nodes_explored`` never exceeds
+    ``max_nodes``, and the parallel search exhausts whenever the serial one
+    does.  ``max_seconds`` applies to the frontier phase and to each task
+    run separately.  Checkpoint/resume is serial-only.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -290,15 +293,29 @@ def longest_avoiding(
     )
     if not exhausted:
         return SearchCertificate(n, k, best_len, best, False, nodes)
-    # split the nodes left after the frontier phase across the tasks; each
-    # task's budget also counts its frontier node, counted here already
-    shares = [None] * len(frontier)
-    if max_nodes is not None:
-        left, parts = max_nodes - nodes, len(frontier)
-        shares = [left // parts + (t < left % parts) + 1 for t in range(parts)]
-    tasks = [(mode, n, k, prefix, share, max_seconds) for prefix, share in zip(frontier, shares)]
+    results = [None] * len(frontier)
+    pending = list(range(len(frontier)))
     with multiprocessing.Pool(parallel) as pool:
-        results = pool.map(_subtree_worker, tasks)
+        while pending:
+            # split the nodes that neither the frontier phase nor a finished
+            # task used across the pending tasks; each task's budget also
+            # counts its frontier node, counted here already
+            shares = [None] * len(pending)
+            if max_nodes is not None:
+                left = max_nodes - nodes - sum(r[3] for r in results if r is not None and r[2])
+                parts = len(pending)
+                shares = [left // parts + (t < left % parts) + 1 for t in range(parts)]
+            tasks = [(mode, n, k, frontier[t], share, max_seconds) for t, share in zip(pending, shares)]
+            for t, result in zip(pending, pool.map(_subtree_worker, tasks)):
+                results[t] = result
+            unexhausted = [t for t in pending if not results[t][2]]
+            # rerun the unexhausted tasks with what the exhausted ones left;
+            # when the tree has fewer than max_nodes nodes, the pending
+            # subtrees cannot all outgrow their shares, so every round
+            # exhausts at least one task
+            if max_nodes is None or len(unexhausted) == len(pending):
+                break
+            pending = unexhausted
     for sub_len, sub_best, sub_exhausted, sub_nodes in results:
         nodes += sub_nodes
         exhausted = exhausted and sub_exhausted

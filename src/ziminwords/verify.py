@@ -1,10 +1,13 @@
 """Executable checks for the lemma and theorem suites.
 
 Each check computes something and compares it against what the statements
-promise, returning a CheckResult; the CLI renders these as PASS/FAIL lines
-and the acceptance tests assert on them.  Scale "small" keeps to the
-sub-minute checks; "full" adds the f(3,2) search and the order-4 counter
-suites.
+promise, returning a CheckResult; the CLI renders these as PASS/FAIL lines.
+Each suite is defined once: ``run_suite`` concatenates them for ``verify``,
+and the per-module CLI commands (``counters check``, ``psi verify-lemmas``,
+``regular check-identities``, ``abelian oracles``) call the same functions.
+Every oracle runs once per distinct input.  Scale "small" keeps to the
+checks that take seconds; "full" adds the f(3,2) search and the order-4
+counter suites.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def check_counter_structure(order: int) -> list[CheckResult]:
         unique = True
         for w in as_bytes.values():
             for sub in subs:
-                if w.count(sub) != 1 or _overlapping_count(w, sub) != 1:
+                if _overlapping_count(w, sub) != 1:
                     unique = False
         out.append(
             CheckResult(
@@ -186,53 +189,53 @@ def check_counter_roundtrip(order: int, indices) -> CheckResult:
     return CheckResult(f"order {order}: decode(counter(i)) == i on {len(list(indices))} indices", ok)
 
 
+def counter_suite(order: int) -> list[CheckResult]:
+    """Structure and round trip of one order, as ``counters check`` prints
+    them before the order's Zimin-index line."""
+    return check_counter_structure(order) + [
+        check_counter_roundtrip(order, range(min(tau(order), 256)))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # counter Zimin indices (exact-values theorem)
 
 
+# Zimin indices the exact-values theorem gives for the counters of each
+# order: the full list for orders 1 and 2; from order 3 on, all are order - 1
+_COUNTER_INDICES = {1: [1, 1], 2: [2, 1, 1, 2]}
+
+
+def _counter_indices(order: int, indices) -> dict[int, int]:
+    return {i: zimin_index(counter(i, order), max_length=None) for i in indices}
+
+
+def _counter_index_line(order: int, got: dict[int, int]) -> CheckResult:
+    if order in _COUNTER_INDICES:
+        want = _COUNTER_INDICES[order]
+        ok = list(got.values()) == want[: len(got)]
+    else:
+        want = f"all {order - 1}"
+        ok = set(got.values()) == {order - 1}
+    return CheckResult(
+        f"order {order}: counter Zimin indices match the theorem ({want})", ok, f"{len(got)} checked"
+    )
+
+
 def check_counter_zimin_for_order(order: int, indices=None) -> CheckResult:
     """zimin_index over counters of one order against the exact theorem."""
-    expected = {1: [1, 1], 2: [2, 1, 1, 2]}
     if indices is None:
-        indices = range(tau(order)) if order <= 3 else range(256)
-    got = [zimin_index(counter(i, order), max_length=None) for i in indices]
-    if order in expected:
-        ok = got == expected[order][: len(got)]
-        want = str(expected[order])
-    else:
-        target = 2 if order == 3 else order - 1
-        ok = set(got) == {target}
-        want = f"all {target}"
-    return CheckResult(
-        f"order {order}: counter Zimin indices match the theorem ({want})", ok
-    )
+        indices = range(min(tau(order), 256))
+    return _counter_index_line(order, _counter_indices(order, indices))
 
 
 def check_counter_zimin_exact(order4_indices=range(256)) -> list[CheckResult]:
-    out = []
-    got1 = [zimin_index(counter(i, 1)) for i in range(2)]
-    out.append(CheckResult("order 1 counters have Zimin index 1", got1 == [1, 1]))
-    got2 = [zimin_index(counter(i, 2)) for i in range(4)]
-    out.append(
-        CheckResult("order 2 counter indices are (2, 1, 1, 2)", got2 == [2, 1, 1, 2], str(got2))
-    )
-    got3 = {zimin_index(counter(i, 3)) for i in range(16)}
-    out.append(CheckResult("all 16 order-3 counters have Zimin index 2", got3 == {2}))
-    got4 = {zimin_index(counter(i, 4), max_length=None) for i in order4_indices}
-    out.append(
-        CheckResult(
-            f"order-4 counters have Zimin index 3 ({len(list(order4_indices))} checked)",
-            got4 == {3},
-        )
-    )
-    zeroes = [zimin_index(counter(0, n), max_length=None) for n in range(1, 5)]
-    monotone = all(
-        zimin_index(counter(i, n)) <= zeroes[n - 1] for n in range(1, 4) for i in range(tau(n))
-    )
-    monotone = monotone and all(
-        zimin_index(counter(i, 4), max_length=None) <= zeroes[3] for i in order4_indices
-    )
-    out.append(CheckResult("index of counter 0 dominates its order", monotone))
+    """The theorem's indices for every counter of orders 1-3 and the given
+    order-4 ones (which must include counter 0), each index computed once."""
+    got = {n: _counter_indices(n, range(tau(n)) if n < 4 else order4_indices) for n in (1, 2, 3, 4)}
+    out = [_counter_index_line(n, g) for n, g in got.items()]
+    dominated = all(max(g.values()) <= g[0] for g in got.values())
+    out.append(CheckResult("index of counter 0 dominates its order", dominated))
     return out
 
 
@@ -251,6 +254,11 @@ def _sigma2_words(max_len):
     for n in range(max_len + 1):
         for combo in itertools.product(sigma2, repeat=n):
             yield RankedWord(combo)
+
+
+def _distinct_infixes(coded) -> set[str]:
+    """The non-empty infixes of the given coded words, each once."""
+    return {a[s:e] for a in coded for s in range(len(a)) for e in range(s + 1, len(a) + 1)}
 
 
 def check_characterization(max_word_len: int = 4) -> CheckResult:
@@ -272,12 +280,7 @@ def check_characterization(max_word_len: int = 4) -> CheckResult:
                     return True
         return False
 
-    seen = set()
-    for w in _sigma2_words(max_word_len):
-        a = psi(w)
-        for s in range(len(a)):
-            for e in range(s + 1, len(a) + 1):
-                seen.add(a[s:e])
+    seen = _distinct_infixes(psi(w) for w in _sigma2_words(max_word_len))
     ok = all(x in strict_infixes or in_lcr(x) for x in seen)
     return CheckResult(
         f"every infix of a coded Sigma_2^<={max_word_len} word is in F or LC*R", ok
@@ -295,33 +298,26 @@ def check_parse_counts_and_uniqueness() -> list[CheckResult]:
     unique_ok = True
     oracle_ok = True
     simple_ok = True
-    corpora = [psi(w) for w in _sigma2_words(4) if len(w)]
-    for a in corpora:
-        for s in range(len(a)):
-            for e in range(s + 1, len(a) + 1):
-                infix = a[s:e]
-                found = parses(infix)
-                if sorted(
-                    (p.left, tuple((q.bit, q.order) for q in p.center), p.right) for p in found
-                ) != sorted(parses_all_splits(infix)):
-                    oracle_ok = False
-                if is_simple(infix) != simple_brute(infix):
-                    simple_ok = False
-                if not is_simple(infix) and len(found) != 1:
-                    unique_ok = False
+    for infix in _distinct_infixes(psi(w) for w in _sigma2_words(4)):
+        found = parses(infix)
+        if sorted(
+            (p.left, tuple((q.bit, q.order) for q in p.center), p.right) for p in found
+        ) != sorted(parses_all_splits(infix)):
+            oracle_ok = False
+        simple = is_simple(infix)
+        if simple != simple_brute(infix):
+            simple_ok = False
+        if not simple and len(found) != 1:
+            unique_ok = False
     results = [
         CheckResult("parse lists match the all-splits oracle (Sigma_2^<=4 corpus)", oracle_ok),
         CheckResult("simplicity matches its brute-force definition", simple_ok),
         CheckResult("non-simple infixes admit exactly one parse (Sigma_2^<=4)", unique_ok),
     ]
-    unique4 = True
-    for i in range(16):
-        a = encoded_counter(i, 3)
-        for s in range(len(a)):
-            for e in range(s + 1, len(a) + 1):
-                infix = a[s:e]
-                if not is_simple(infix) and len(parses(infix)) != 1:
-                    unique4 = False
+    unique4 = all(
+        is_simple(infix) or len(parses(infix)) == 1
+        for infix in _distinct_infixes(encoded_counter(i, 3) for i in range(16))
+    )
     results.append(
         CheckResult("non-simple infixes of encoded order-3 counters parse uniquely", unique4)
     )
@@ -334,38 +330,32 @@ def check_occurrence_bijection() -> list[CheckResult]:
     bijection_ok = True
     letter_ok = True
     context_ok = True
-    words = [w for w in _sigma2_words(4) if len(w)] + [counter(i, 3) for i in range(16)]
-    for w in words:
+    for w in itertools.chain(_sigma2_words(4), (counter(i, 3) for i in range(16))):
         a = psi(w)
-        lens = [len(psi_symbol(s)) for s in w]
-        starts = [0]
-        for ln in lens:
-            starts.append(starts[-1] + ln)
-        seen = set()
-        for s in range(len(a)):
-            for e in range(s + 1, len(a) + 1):
-                infix = a[s:e]
-                if is_simple(infix) or infix in seen:
-                    continue
-                seen.add(infix)
-                found = parses(infix)
-                if len(found) != 1:
-                    bijection_ok = False
-                    continue
-                p = found[0]
-                occ_alpha = occurrences(infix, a)
-                occ_parse = parse_occurrences(p, w)
-                mapped = [starts[m] - len(p.left) for m in occ_parse]
-                if mapped != occ_alpha:
-                    bijection_ok = False
-                for m in occ_parse:
-                    ctx = context_of(p, w, m)
-                    if infix not in psi(ctx.word):
-                        context_ok = False
-                for x in {c for c in w if c.order > 1}:
-                    hits = len(occurrences(psi_symbol(x), infix))
-                    if hits > 1 and len(occurrences((x,), tuple(p.center))) != hits:
-                        letter_ok = False
+        starts = [0, *itertools.accumulate(len(psi_symbol(s)) for s in w)]
+        high = {x: psi_symbol(x) for x in w if x.order > 1}
+        # occurrences depend on the word, so infixes are deduplicated per word
+        for infix in _distinct_infixes([a]):
+            if is_simple(infix):
+                continue
+            found = parses(infix)
+            if len(found) != 1:
+                bijection_ok = False
+                continue
+            p = found[0]
+            occ_alpha = occurrences(infix, a)
+            occ_parse = parse_occurrences(p, w)
+            mapped = [starts[m] - len(p.left) for m in occ_parse]
+            if mapped != occ_alpha:
+                bijection_ok = False
+            for m in occ_parse:
+                ctx = context_of(p, w, m)
+                if infix not in psi(ctx.word):
+                    context_ok = False
+            for x, code in high.items():
+                hits = len(occurrences(code, infix))
+                if hits > 1 and len(occurrences((x,), tuple(p.center))) != hits:
+                    letter_ok = False
     return [
         CheckResult("occurrences of non-simple infixes biject with parse occurrences", bijection_ok),
         CheckResult("parse value is an infix of the coded context", context_ok),
@@ -423,16 +413,22 @@ def check_simple_infix_bound(order: int = 4, sample_cap: int = 4000) -> CheckRes
 
 
 def check_zimin_oracles(max_len: int = 14) -> list[CheckResult]:
-    type_ok = True
-    index_ok = True
+    """zimin_type, zimin_index and the level-3 suffix tracker against the
+    oracles, with one enumerated index per binary word."""
+    type_ok = index_ok = tracker_ok = True
     for w in _binary_words(max_len):
-        if zimin_type(w) != zimin_type_recursive(w):
-            type_ok = False
-        if zimin_index(w) != zimin_index_enumerated(w):
-            index_ok = False
+        enumerated = zimin_index_enumerated(w)
+        type_ok = type_ok and zimin_type(w) == zimin_type_recursive(w)
+        index_ok = index_ok and zimin_index(w) == enumerated
+        tracker = ZiminSuffixTracker(3, 2)
+        rejected = not all(map(tracker.try_push, map(int, w)))
+        tracker_ok = tracker_ok and rejected == (enumerated >= 3)
     return [
         CheckResult(f"zimin_type equals the recursive oracle on binary words <= {max_len}", type_ok),
         CheckResult(f"zimin_index equals the enumeration oracle on binary words <= {max_len}", index_ok),
+        CheckResult(
+            f"incremental encounter check matches enumeration (len <= {max_len}, n in (3,))", tracker_ok
+        ),
     ]
 
 
@@ -446,21 +442,6 @@ def check_log_bound(samples: int = 10_000, max_len: int = 64, seed: int = 7) -> 
         if zimin_index(w) > floor(log2(length + 1)):
             ok = False
     return CheckResult(f"zimin_index <= floor(log2(|w|+1)) on {samples} random words", ok)
-
-
-def check_incremental_tracker(max_len: int = 14, levels=(3,)) -> CheckResult:
-    """Suffix-anchored tracking agrees with the enumerated index of oracles."""
-    ok = True
-    for n in levels:
-        for L in range(1, max_len + 1):
-            for bits in itertools.product((0, 1), repeat=L):
-                tracker = ZiminSuffixTracker(n, 2)
-                rejected = not all(map(tracker.try_push, bits))
-                if rejected != (zimin_index_enumerated(bits) >= n):
-                    ok = False
-    return CheckResult(
-        f"incremental encounter check matches enumeration (len <= {max_len}, n in {levels})", ok
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -577,33 +558,31 @@ def check_abelian_suite() -> list[CheckResult]:
 # aggregated suites
 
 
-def run_suite(scale: str = "small", order4_indices=range(256)) -> list[CheckResult]:
+def psi_suite(scale: str = "small") -> list[CheckResult]:
+    """The coded-word lemmas, as ``psi verify-lemmas`` prints them."""
+    out = [check_infix_code(), check_characterization()]
+    out += check_parse_counts_and_uniqueness()
+    out += check_occurrence_bijection()
+    if scale == "small":
+        return out + check_boundary_theorem((2,))
+    return out + check_boundary_theorem((2, 3)) + [check_simple_infix_bound()]
+
+
+def run_suite(scale: str = "small") -> list[CheckResult]:
     """Every check at the requested scale, as one flat PASS/FAIL list."""
     if scale not in ("small", "full"):
         raise ValueError("scale must be 'small' or 'full'")
-    out: list[CheckResult] = []
-    out += check_regular_identities()
-    for order in (1, 2, 3):
-        out += check_counter_structure(order)
-    out.append(check_counter_roundtrip(3, range(16)))
-    out.append(check_infix_code())
-    out.append(check_characterization())
-    out += check_parse_counts_and_uniqueness()
-    out += check_occurrence_bijection()
-    out += check_boundary_theorem((2,))
-    out += check_zimin_oracles(max_len=11 if scale == "small" else 14)
-    out.append(check_log_bound(samples=2000 if scale == "small" else 10_000))
-    out.append(check_incremental_tracker(max_len=11 if scale == "small" else 14))
+    full = scale == "full"
+    out = check_regular_identities()
+    for order in (1, 2, 3, 4) if full else (1, 2, 3):
+        out += counter_suite(order)
+    out += check_counter_zimin_exact(range(256) if full else range(4))
+    out += psi_suite(scale)
+    out += check_zimin_oracles(max_len=14 if full else 11)
+    out.append(check_log_bound(samples=10_000 if full else 2000))
     out += check_small_f_table()
     out += check_match_probabilities()
     out += check_abelian_suite()
-    if scale == "full":
-        out += check_counter_structure(4)
-        out += check_counter_zimin_exact(order4_indices)
-        out.append(check_counter_roundtrip(4, range(256)))
-        out += check_boundary_theorem((3,))
-        out.append(check_simple_infix_bound())
+    if full:
         out.append(check_f32())
-    else:
-        out += check_counter_zimin_exact(order4_indices=range(4))
     return out

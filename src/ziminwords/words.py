@@ -114,12 +114,9 @@ def occurrences(needle: Sequence, haystack: Sequence) -> list[int]:
             out.append(m)
             m = haystack.find(needle, m + 1)
         return out
+    needle, haystack = tuple(needle), tuple(haystack)
     first = needle[0]
-    out = []
-    for m in range(h - n + 1):
-        if haystack[m] == first and all(haystack[m + j] == needle[j] for j in range(1, n)):
-            out.append(m)
-    return out
+    return [m for m in range(h - n + 1) if haystack[m] == first and haystack[m : m + n] == needle]
 
 
 def tower(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:

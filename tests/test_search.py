@@ -86,6 +86,18 @@ def test_parallel_node_budget_is_global():
     assert longest_avoiding(2, 3, max_nodes=1000, parallel=3, split_depth=2) == longest_avoiding(2, 3)
 
 
+def test_parallel_passes_on_unused_nodes():
+    # the serial search exhausts the 79-node tree with 80 nodes; a single
+    # even split strands the nodes of small subtrees and stops at 65
+    serial = longest_avoiding(2, 3, max_nodes=80)
+    assert serial.exhausted and serial.nodes_explored == 79
+    assert longest_avoiding(2, 3, max_nodes=80, parallel=3, split_depth=2) == serial
+    for budget in (79, 60):
+        cert = longest_avoiding(2, 3, max_nodes=budget, parallel=3, split_depth=2)
+        assert not cert.exhausted
+        assert cert.nodes_explored <= budget
+
+
 def test_tracker_matches_index_recomputation():
     for n in (2, 3):
         for length in range(1, 11):

@@ -1,16 +1,20 @@
 import pytest
 
+from ziminwords import verify
+from ziminwords.counters import counter
 from ziminwords.verify import (
     CheckResult,
     check_boundary_theorem,
     check_counter_structure,
+    check_counter_zimin_exact,
     check_counter_zimin_for_order,
-    check_incremental_tracker,
     check_log_bound,
     check_regular_identities,
     check_small_f_table,
+    check_zimin_oracles,
     run_suite,
 )
+from ziminwords.zimin import ZiminSuffixTracker, zimin_index, zimin_type
 
 
 def test_check_result_lines():
@@ -43,7 +47,7 @@ def test_boundary_theorem_order2():
 
 
 def test_incremental_tracker_check():
-    assert check_incremental_tracker(max_len=8).passed
+    assert all(r.passed for r in check_zimin_oracles(max_len=8))
 
 
 def test_log_bound_check():
@@ -57,3 +61,39 @@ def test_small_f_table_checks():
 def test_run_suite_rejects_bad_scale():
     with pytest.raises(ValueError):
         run_suite("medium")
+
+
+def _failing(results):
+    return [r.name.split(" ")[0] for r in results if not r.passed]
+
+
+def test_zimin_pass_flags_a_wrong_index(monkeypatch):
+    monkeypatch.setattr(verify, "zimin_index", lambda w: zimin_index(w) + (w == "0110"))
+    assert _failing(check_zimin_oracles(max_len=8)) == ["zimin_index"]
+
+
+def test_zimin_pass_flags_a_wrong_type(monkeypatch):
+    monkeypatch.setattr(verify, "zimin_type", lambda w: zimin_type(w) + (w == "10101"))
+    assert _failing(check_zimin_oracles(max_len=8)) == ["zimin_type"]
+
+
+def test_zimin_pass_flags_a_wrong_tracker(monkeypatch):
+    class Tracker(ZiminSuffixTracker):
+        # accepts the last letter of 0100010 = Z_3(0, 1, 0), which closes Z_3
+        def try_push(self, c):
+            return super().try_push(c) or self.word == [0, 1, 0, 0, 0, 1]
+
+    monkeypatch.setattr(verify, "ZiminSuffixTracker", Tracker)
+    assert _failing(check_zimin_oracles(max_len=8)) == ["incremental"]
+
+
+def test_counter_index_checks_flag_a_wrong_index(monkeypatch):
+    wrong = counter(5, 3)
+    monkeypatch.setattr(
+        verify, "zimin_index", lambda w, max_length=None: zimin_index(w, max_length) - (w == wrong)
+    )
+    assert not check_counter_zimin_for_order(3).passed
+    results = check_counter_zimin_exact(range(1))
+    assert [r.name for r in results if not r.passed] == [
+        "order 3: counter Zimin indices match the theorem (all 2)"
+    ]
