@@ -5,7 +5,7 @@ The package follows the objects it computes with:
 - words:     ranked symbols/words, occurrences, the tower function
 - zimin:     Zimin patterns, type and index, matching, unavoidability
 - counters:  Stockmeyer higher-order counters and their validation
-- automata:  a small DFA/NFA algebra (regex, product, minimise, equivalence)
+- automata:  a small DFA algebra (regex, product, minimise, equivalence)
 - coding:    the binary coding psi, the C/L/R/F languages, parses, contexts
 - search:    exhaustive f(n, k) searches with certificates and bounds
 - abelian:   abelian equivalence, abelian Zimin encounters, g(n, k), bounds

@@ -1,10 +1,16 @@
 """A small deterministic-automaton algebra over explicit finite alphabets.
 
-Supports exactly what the coded-word lemmas need: regex to NFA (Thompson)
-to DFA (subset construction), product intersection, partition refinement
-minimisation, equivalence with shortest counterexample, language
-concatenation/star, bounded enumeration in length-then-lex order, and a
-finiteness test.
+Supports exactly what the coded-word lemmas need: regex to DFA, product
+intersection, partition refinement minimisation, equivalence with shortest
+counterexample, language concatenation/star, bounded enumeration in
+length-then-lex order, and a finiteness test.
+
+Every construction is one call of ``_explore``, which numbers the states
+reachable from a start breadth-first in alphabet order.  The states are
+regexes for ``from_regex`` (a regex steps to its Brzozowski derivative and
+accepts when it is nullable), pairs of states for the products, sets of
+states for ``concat`` and ``star``, and blocks of the refined partition for
+``minimize``.
 
 Regexes are literals over the alphabet, ``|``, ``*``, parentheses and empty
 alternatives, as in ``(|0|1)(01)*00``; ``+``, ``?`` and ``{m,n}`` are
@@ -13,7 +19,7 @@ rejected with RegexSyntaxError.
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from typing import Iterable, Optional
 
 from .errors import RegexSyntaxError, ResourceLimitError
@@ -92,41 +98,101 @@ class Dfa:
         return f"<Dfa {self.n_states} states over {''.join(map(str, self.alphabet))}>"
 
 
-class Nfa:
-    """Epsilon-NFA used as the construction intermediate; symbol None = eps."""
+def _explore(alphabet: tuple, start, step, accepting) -> Dfa:
+    """Number the states reachable from start breadth-first, in alphabet order.
 
-    def __init__(self, alphabet):
-        self.alphabet = tuple(alphabet)
-        self.transitions: list[dict] = []
-        self.start = self.new_state()
-        self.accepting: set[int] = set()
+    States are any hashable values; step(state, symbol) gives the successor
+    and accepting(state) decides acceptance.  State 0 is the start.
+    """
+    index = {start: 0}
+    order = [start]
+    delta = []
+    for state in order:
+        row = []
+        for c in alphabet:
+            t = step(state, c)
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            row.append(index[t])
+        delta.append(row)
+    return Dfa(alphabet, delta, 0, [i for i, state in enumerate(order) if accepting(state)])
 
-    def new_state(self) -> int:
-        self.transitions.append({})
-        return len(self.transitions) - 1
 
-    def add(self, src: int, symbol, dst: int):
-        self.transitions[src].setdefault(symbol, set()).add(dst)
-
-    def eps_closure(self, states) -> frozenset:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for t in self.transitions[q].get(None, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
+def _trim(dfa: Dfa) -> Dfa:
+    """The reachable part of dfa, renumbered breadth-first."""
+    return _explore(dfa.alphabet, dfa.start, lambda q, c: dfa.step[q][c], dfa.accepting.__contains__)
 
 
 # ---------------------------------------------------------------------------
-# regex -> NFA -> DFA
+# regexes as DFA states: a regex is ("empty",), ("eps",), ("lit", c),
+# ("cat", r, s), ("alt", frozenset) or ("star", r), kept by the constructors
+# in a normal form (concatenations nested to the right, alternatives as flat
+# sets, star(star r) = star r, eps and empty absorbed) under which a regex
+# has finitely many distinct derivatives (Brzozowski, J. ACM 1964).
 
+_EMPTY = ("empty",)
+_EPS = ("eps",)
 _METACHARS = set("()|*+?{}")
 
 
-def _parse_regex(text: str, alphabet: tuple) -> "_Node":
+def _cat(r, s):
+    if r == _EMPTY or s == _EMPTY:
+        return _EMPTY
+    if r == _EPS:
+        return s
+    if s == _EPS:
+        return r
+    if r[0] == "cat":
+        return _cat(r[1], _cat(r[2], s))
+    return ("cat", r, s)
+
+
+def _alt(*branches):
+    items = set()
+    for r in branches:
+        if r[0] == "alt":
+            items |= r[1]
+        elif r != _EMPTY:
+            items.add(r)
+    if len(items) > 1:
+        return ("alt", frozenset(items))
+    return items.pop() if items else _EMPTY
+
+
+def _star(r):
+    if r[0] == "star":
+        return r
+    if r in (_EMPTY, _EPS):
+        return _EPS
+    return ("star", r)
+
+
+def _nullable(r) -> bool:
+    kind = r[0]
+    if kind == "cat":
+        return _nullable(r[1]) and _nullable(r[2])
+    if kind == "alt":
+        return any(map(_nullable, r[1]))
+    return kind in ("eps", "star")
+
+
+def _derivative(r, c):
+    """The regex of the words w with c w in the language of r."""
+    kind = r[0]
+    if kind == "lit":
+        return _EPS if r[1] == c else _EMPTY
+    if kind == "cat":
+        head = _cat(_derivative(r[1], c), r[2])
+        return _alt(head, _derivative(r[2], c)) if _nullable(r[1]) else head
+    if kind == "alt":
+        return _alt(*(_derivative(x, c) for x in r[1]))
+    if kind == "star":
+        return _cat(_derivative(r[1], c), r)
+    return _EMPTY
+
+
+def _parse_regex(text: str, alphabet: tuple):
     pos = 0
 
     def peek():
@@ -143,24 +209,19 @@ def _parse_regex(text: str, alphabet: tuple) -> "_Node":
         while peek() == "|":
             take()
             branches.append(parse_cat())
-        return ("alt", branches) if len(branches) > 1 else branches[0]
+        return _alt(*branches)
 
     def parse_cat():
-        items = []
+        node = _EPS
         while peek() is not None and peek() not in "|)":
-            items.append(parse_rep())
-        if not items:
-            return ("eps",)
-        node = items[0]
-        for item in items[1:]:
-            node = ("cat", node, item)
+            node = _cat(node, parse_rep())
         return node
 
     def parse_rep():
         node = parse_atom()
         while peek() == "*":
             take()
-            node = ("star", node)
+            node = _star(node)
         return node
 
     def parse_atom():
@@ -187,109 +248,23 @@ def _parse_regex(text: str, alphabet: tuple) -> "_Node":
     return node
 
 
-def _thompson(node, nfa: Nfa) -> tuple[int, int]:
-    kind = node[0]
-    if kind == "eps":
-        s = nfa.new_state()
-        t = nfa.new_state()
-        nfa.add(s, None, t)
-        return s, t
-    if kind == "lit":
-        s = nfa.new_state()
-        t = nfa.new_state()
-        nfa.add(s, node[1], t)
-        return s, t
-    if kind == "cat":
-        s1, t1 = _thompson(node[1], nfa)
-        s2, t2 = _thompson(node[2], nfa)
-        nfa.add(t1, None, s2)
-        return s1, t2
-    if kind == "alt":
-        s = nfa.new_state()
-        t = nfa.new_state()
-        for branch in node[1]:
-            bs, bt = _thompson(branch, nfa)
-            nfa.add(s, None, bs)
-            nfa.add(bt, None, t)
-        return s, t
-    if kind == "star":
-        s = nfa.new_state()
-        t = nfa.new_state()
-        bs, bt = _thompson(node[1], nfa)
-        nfa.add(s, None, bs)
-        nfa.add(s, None, t)
-        nfa.add(bt, None, bs)
-        nfa.add(bt, None, t)
-        return s, t
-    raise AssertionError(f"unknown node {node!r}")
-
-
-def regex_to_nfa(text: str, alphabet="01") -> Nfa:
-    alphabet = tuple(alphabet)
-    nfa = Nfa(alphabet)
-    s, t = _thompson(_parse_regex(text, alphabet), nfa)
-    nfa.add(nfa.start, None, s)
-    nfa.accepting = {t}
-    return nfa
-
-
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction; the result is total (empty subset = dead state)."""
-    alphabet = nfa.alphabet
-    start = nfa.eps_closure({nfa.start})
-    index = {start: 0}
-    order = [start]
-    delta = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        row = []
-        for c in alphabet:
-            nxt = set()
-            for q in subset:
-                nxt |= nfa.transitions[q].get(c, set())
-            closed = nfa.eps_closure(nxt)
-            if closed not in index:
-                index[closed] = len(order)
-                order.append(closed)
-            row.append(index[closed])
-        delta.append(row)
-        i += 1
-    accepting = {i for i, subset in enumerate(order) if subset & nfa.accepting}
-    return Dfa(alphabet, delta, 0, accepting)
-
-
 def from_regex(text: str, alphabet="01") -> Dfa:
-    return determinize(regex_to_nfa(text, alphabet))
+    alphabet = tuple(alphabet)
+    return _explore(alphabet, _parse_regex(text, alphabet), _derivative, _nullable)
 
 
 # ---------------------------------------------------------------------------
 # DFA algebra
 
 
-def _reachable(dfa: Dfa) -> list[int]:
-    seen = {dfa.start}
-    order = [dfa.start]
-    for q in order:
-        for t in dfa.delta[q]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    return order
-
-
 def minimize(dfa: Dfa) -> Dfa:
     """Canonical minimal DFA via partition refinement on reachable states."""
-    reach = _reachable(dfa)
-    remap = {q: i for i, q in enumerate(reach)}
-    delta = [[remap[dfa.delta[q][a]] for a in range(len(dfa.alphabet))] for q in reach]
-    accepting = {remap[q] for q in reach if q in dfa.accepting}
-    n = len(reach)
+    reach = _trim(dfa)
+    delta, accepting = reach.delta, reach.accepting
+    n = reach.n_states
 
-    block = [1 if q in accepting else 0 for q in range(n)]
-    n_blocks = 2 if accepting and len(accepting) < n else 1
-    if n_blocks == 1:
-        block = [0] * n
+    block = [int(q in accepting) for q in range(n)]
+    n_blocks = len(set(block))
     while True:
         signatures = {}
         new_block = [0] * n
@@ -303,50 +278,28 @@ def minimize(dfa: Dfa) -> Dfa:
         block = new_block
         n_blocks = len(signatures)
 
-    # canonical numbering: BFS from the start block in alphabet order
-    start_block = block[0]
-    canon = {start_block: 0}
-    order = [start_block]
-    rep = {block[q]: q for q in reversed(range(n))}
-    for b in order:
-        q = rep[b]
-        for a in range(len(dfa.alphabet)):
-            tb = block[delta[q][a]]
-            if tb not in canon:
-                canon[tb] = len(order)
-                order.append(tb)
-    new_delta = [[0] * len(dfa.alphabet) for _ in order]
-    for b in order:
-        q = rep[b]
-        for a in range(len(dfa.alphabet)):
-            new_delta[canon[b]][a] = canon[block[delta[q][a]]]
-    new_accepting = {canon[block[q]] for q in range(n) if q in accepting}
-    return Dfa(dfa.alphabet, new_delta, 0, new_accepting)
+    # canonical numbering: breadth-first from the start block in alphabet order
+    rep = {b: q for q, b in enumerate(block)}
+    return _explore(
+        dfa.alphabet, block[0], lambda b, c: block[reach.step[rep[b]][c]], lambda b: rep[b] in accepting
+    )
+
+
+def _product(a: Dfa, b: Dfa, accept) -> Dfa:
+    """The pairs of states; a pair accepts when accept(in a, in b) holds."""
+    if a.alphabet != b.alphabet:
+        raise ValueError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
+    return _explore(
+        a.alphabet,
+        (a.start, b.start),
+        lambda s, c: (a.step[s[0]][c], b.step[s[1]][c]),
+        lambda s: accept(s[0] in a.accepting, s[1] in b.accepting),
+    )
 
 
 def intersect(a: Dfa, b: Dfa) -> Dfa:
     """Product automaton accepting the words both a and b accept."""
-    if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
-    index = {(a.start, b.start): 0}
-    order = [(a.start, b.start)]
-    delta = []
-    i = 0
-    while i < len(order):
-        qa, qb = order[i]
-        row = []
-        for s in range(len(a.alphabet)):
-            nxt = (a.delta[qa][s], b.delta[qb][s])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        delta.append(row)
-        i += 1
-    accepting = {
-        i for i, (qa, qb) in enumerate(order) if qa in a.accepting and qb in b.accepting
-    }
-    return Dfa(a.alphabet, delta, 0, accepting)
+    return _product(a, b, operator.and_)
 
 
 def equivalent(a: Dfa, b: Dfa) -> tuple[bool, Optional[str]]:
@@ -355,77 +308,50 @@ def equivalent(a: Dfa, b: Dfa) -> tuple[bool, Optional[str]]:
     Among shortest counterexamples the lexicographically first (in alphabet
     order) is returned, as a string when symbols are characters.
     """
-    if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
-    start = (a.start, b.start)
-    parent: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        qa, qb = queue.popleft()
-        if (qa in a.accepting) != (qb in b.accepting):
-            word = []
-            node = (qa, qb)
-            while parent[node] is not None:
-                node, sym = parent[node]
-                word.append(sym)
-            word.reverse()
-            return False, "".join(str(c) for c in word)
-        for s, c in enumerate(a.alphabet):
-            nxt = (a.delta[qa][s], b.delta[qb][s])
-            if nxt not in parent:
-                parent[nxt] = ((qa, qb), c)
-                queue.append(nxt)
-    return True, None
-
-
-# language operations that leave the deterministic world
-
-
-def dfa_to_nfa(dfa: Dfa) -> Nfa:
-    nfa = Nfa(dfa.alphabet)
-    base = [nfa.new_state() for _ in range(dfa.n_states)]
-    nfa.add(nfa.start, None, base[dfa.start])
-    for q in range(dfa.n_states):
-        for s, c in enumerate(dfa.alphabet):
-            nfa.add(base[q], c, base[dfa.delta[q][s]])
-    nfa.accepting = {base[q] for q in dfa.accepting}
-    return nfa
+    diff = _product(a, b, operator.ne)
+    if not diff.accepting:
+        return True, None
+    # In the breadth-first numbering the least accepting state is the one
+    # reached by the shortest, alphabetically first word, and the first edge
+    # into a state in (state, symbol) order is the one that discovered it.
+    parent = {}
+    for q, row in enumerate(diff.delta):
+        for c, t in zip(diff.alphabet, row):
+            parent.setdefault(t, (q, c))
+    word = []
+    q = min(diff.accepting)
+    while q != 0:
+        q, c = parent[q]
+        word.append(str(c))
+    return False, "".join(reversed(word))
 
 
 def concat(a: Dfa, b: Dfa) -> Dfa:
-    na, nb = dfa_to_nfa(a), dfa_to_nfa(b)
-    if na.alphabet != nb.alphabet:
+    """Subset construction: a state of a and the set of b's states in play."""
+    if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
-    out = Nfa(na.alphabet)
-    offset_a = _embed(out, na)
-    offset_b = _embed(out, nb)
-    out.add(out.start, None, na.start + offset_a)
-    for q in na.accepting:
-        out.add(q + offset_a, None, nb.start + offset_b)
-    out.accepting = {q + offset_b for q in nb.accepting}
-    return determinize(out)
+
+    def enter(qa, qbs):  # b starts wherever a accepts
+        return (qa, qbs | {b.start}) if qa in a.accepting else (qa, qbs)
+
+    return _explore(
+        a.alphabet,
+        enter(a.start, frozenset()),
+        lambda s, c: enter(a.step[s[0]][c], frozenset(b.step[q][c] for q in s[1])),
+        lambda s: not b.accepting.isdisjoint(s[1]),
+    )
 
 
 def star(a: Dfa) -> Dfa:
-    na = dfa_to_nfa(a)
-    out = Nfa(na.alphabet)
-    offset = _embed(out, na)
-    out.accepting = {out.start}
-    out.add(out.start, None, na.start + offset)
-    for q in na.accepting:
-        out.add(q + offset, None, out.start)
-    return determinize(out)
+    """Subset construction over a's states, restarting a wherever it accepts.
+    The start, which accepts the empty word, is the empty set: as a is
+    total, no step yields it."""
 
+    def step(qs, c):
+        nxt = frozenset(a.step[q][c] for q in qs or (a.start,))
+        return nxt if a.accepting.isdisjoint(nxt) else nxt | {a.start}
 
-def _embed(out: Nfa, src: Nfa) -> int:
-    offset = len(out.transitions)
-    for _ in range(len(src.transitions)):
-        out.new_state()
-    for q, row in enumerate(src.transitions):
-        for symbol, targets in row.items():
-            for t in targets:
-                out.add(q + offset, symbol, t + offset)
-    return offset
+    return _explore(a.alphabet, frozenset(), step, lambda qs: not qs or not a.accepting.isdisjoint(qs))
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +371,14 @@ def _live_states(delta, accepting) -> frozenset:
     return frozenset(live)
 
 
-def _co_reachable_table(dfa: Dfa, max_len: int) -> list[list[bool]]:
-    # can[r][q]: some accepting state reachable from q in exactly r steps
-    can = [[q in dfa.accepting for q in range(dfa.n_states)]]
-    for _ in range(max_len):
-        prev = can[-1]
-        can.append([any(prev[t] for t in dfa.delta[q]) for q in range(dfa.n_states)])
-    return can
-
-
 def enumerate_language(
     dfa: Dfa, max_len: int, max_count: int = DEFAULT_ENUMERATION_CAP
 ) -> list[str]:
     """All accepted words of length <= max_len in length-then-lex order."""
-    can = _co_reachable_table(dfa, max_len)
+    # can[r][q]: some accepting state reachable from q in exactly r steps
+    can = [[q in dfa.accepting for q in range(dfa.n_states)]]
+    for _ in range(max_len):
+        can.append([any(can[-1][t] for t in row) for row in dfa.delta])
     out: list[str] = []
     symbols = [str(c) for c in dfa.alphabet]
 
@@ -485,19 +405,13 @@ def enumerate_language(
 
 def is_finite(dfa: Dfa) -> bool:
     """No cycle lies on a path from the start to an accepting state."""
-    useful = set(_reachable(dfa)) & dfa.live
-    color = {}  # 0 = in progress, 1 = done
-
-    def has_cycle(q):
-        color[q] = 0
-        for t in dfa.delta[q]:
-            if t not in useful:
-                continue
-            if color.get(t) == 0:
-                return True
-            if t not in color and has_cycle(t):
-                return True
-        color[q] = 1
-        return False
-
-    return not any(has_cycle(q) for q in useful if q not in color)
+    reach = _trim(dfa)
+    # the useful states (reachable and live) span no cycle iff peeling off
+    # the states without a useful successor eventually removes them all
+    useful = set(reach.live)
+    while useful:
+        sinks = {q for q in useful if useful.isdisjoint(reach.delta[q])}
+        if not sinks:
+            return False
+        useful -= sinks
+    return True

@@ -159,28 +159,29 @@ def parse_of(a: str) -> Parse:
     return found[0]
 
 
+def _occurs_at(p: Parse, w: RankedWord, m: int) -> bool:
+    """Whether the center of p occurs in w at m and the boundary conditions hold."""
+    u, symbols = p.center.symbols, w.symbols
+    end = m + len(u)
+    if m < 0 or end > len(symbols) or symbols[m:end] != u:
+        return False
+    if p.left and (m == 0 or not psi_symbol(symbols[m - 1]).endswith(p.left)):
+        return False
+    return not p.right or (end < len(symbols) and psi_symbol(symbols[end]).startswith(p.right))
+
+
 def parse_occurrences(p: Parse, w: RankedWord) -> list[int]:
     """Offsets m of the parse center in w meeting the boundary conditions.
 
     The left part, when non-empty, must be a suffix of the code of the
     symbol before the center; symmetrically for the right part.
     """
-    u = p.center
-    out = []
-    for m in occurrences(u, w):
-        if p.left:
-            if m == 0 or not psi_symbol(w[m - 1]).endswith(p.left):
-                continue
-        if p.right:
-            if m + len(u) >= len(w) or not psi_symbol(w[m + len(u)]).startswith(p.right):
-                continue
-        out.append(m)
-    return out
+    return [m for m in occurrences(p.center, w) if _occurs_at(p, w, m)]
 
 
 def context_of(p: Parse, w: RankedWord, m: int) -> ParseContext:
     """The context of the occurrence m of parse p in w."""
-    if m not in parse_occurrences(p, w):
+    if not _occurs_at(p, w, m):
         raise ValueError(f"{m} is not an occurrence of the parse in the word")
     d0 = 1 if p.left else 0
     d1 = 1 if p.right else 0

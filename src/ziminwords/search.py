@@ -295,7 +295,10 @@ def longest_avoiding(
         return SearchCertificate(n, k, best_len, best, False, nodes)
     results = [None] * len(frontier)
     pending = list(range(len(frontier)))
-    with multiprocessing.Pool(parallel) as pool:
+    # more workers than tasks or cores would only idle; the shares depend on
+    # the pending tasks alone, so the pool size does not change the result
+    processes = max(1, min(parallel, len(frontier), os.cpu_count() or 1))
+    with multiprocessing.Pool(processes) as pool:
         while pending:
             # split the nodes that neither the frontier phase nor a finished
             # task used across the pending tasks; each task's budget also

@@ -1,8 +1,13 @@
 import itertools
+import re
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ziminwords import automata as au
+from ziminwords.coding import language_dfas
 from ziminwords.errors import RegexSyntaxError, ResourceLimitError
 
 
@@ -89,6 +94,68 @@ def test_concat_matches_membership_product():
     for w in words_upto(8):
         expected = any(a.accepts(w[:i]) and b.accepts(w[i:]) for i in range(len(w) + 1))
         assert ab.accepts(w) == expected
+
+
+@pytest.mark.parametrize("regex", ["0|101", "(|1)0*1", "(|0)(10)*", "0*|11"])
+def test_star_matches_brute_force_splitting(regex):
+    a = au.from_regex(regex)
+    s = au.star(a)
+
+    @lru_cache(maxsize=None)
+    def in_star(w):
+        return w == "" or any(a.accepts(w[:i]) and in_star(w[i:]) for i in range(1, len(w) + 1))
+
+    for w in words_upto(8):
+        assert s.accepts(w) == in_star(w)
+
+
+# Regexes of the supported grammar over 01: literals, empty alternatives,
+# concatenations, parenthesised alternatives and stars (never r**, which
+# Python rejects).  The generated stars are not nested, because Python's
+# backtracking takes exponential time on nested stars over nullable
+# bodies; the examples cover a few nested ones.
+def _combined(inner):
+    return st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map("".join),
+        st.lists(inner, min_size=2, max_size=3).map(lambda rs: "(" + "|".join(rs) + ")"),
+    )
+
+
+_leaves = st.sampled_from(["", "0", "1"])
+_star_free = st.recursive(_leaves, _combined, max_leaves=4)
+_regexes = st.recursive(
+    st.one_of(_leaves, _star_free.map(lambda r: f"({r})*")), _combined, max_leaves=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_regexes, min_size=1, max_size=3).map("|".join))
+@example("((0)*)*")
+@example("((01)*)*|((0)*1)*")
+@example("((|1)0*)*")
+@example("((0|1)*0)*")
+def test_from_regex_matches_python_re(regex):
+    d = au.from_regex(regex)
+    for w in words_upto(8):
+        assert d.accepts(w) == bool(re.fullmatch(regex, w)), (regex, w)
+
+
+def test_language_dfas_tables_are_pinned():
+    # the minimal C/L/R/F DFAs that parses and is_simple scan; minimize
+    # numbers states canonically, so the tables do not depend on how the
+    # unminimised DFAs were built
+    d = language_dfas()
+    tables = {name: (dfa.delta, sorted(dfa.accepting), dfa.start) for name, dfa in zip("CLRF", d)}
+    assert tables == {
+        "C": (((1, 2), (3, 4), (4, 5), (6, 4), (4, 4), (2, 7), (8, 3), (4, 8), (4, 4)), [8], 0),
+        "L": (
+            ((1, 2), (3, 4), (5, 6), (7, 8), (5, 9), (7, 4), (10, 7), (10, 10), (11, 10), (10, 7), (10, 10), (7, 8)),
+            [0, 1, 2, 3, 6, 7],
+            0,
+        ),
+        "R": (((1, 2), (3, 4), (4, 5), (6, 4), (4, 4), (2, 7), (4, 3), (4, 4)), [0, 1, 2, 3, 5, 6, 7], 0),
+        "F": (((1, 2), (3, 2), (4, 5), (6, 7), (6, 2), (6, 6), (6, 6), (3, 6)), [0, 1, 2, 3, 4, 5, 7], 0),
+    }
 
 
 def test_equivalent_counterexample_is_shortest():

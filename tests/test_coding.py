@@ -218,8 +218,13 @@ def test_context_span_rules():
     p_plain = Parse("", RankedWord.parse("0_2"), "")
     ctx = context_of(p_plain, w, 1)
     assert ctx.word == RankedWord.parse("0_2") and ctx.start == 1
-    with pytest.raises(ValueError):
-        context_of(p_plain, w, 0)
+    # offsets off the center, before the word or past its end are rejected,
+    # for an empty center too
+    p_empty = Parse("", RankedWord(), "")
+    assert context_of(p_empty, w, 3).word == RankedWord()
+    for p, m in [(p_plain, 0), (p_plain, -1), (p_plain, 2), (p_plain, 9), (p_empty, -1), (p_empty, 4)]:
+        with pytest.raises(ValueError):
+            context_of(p, w, m)
 
 
 def test_bijection_small_case():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -96,6 +97,34 @@ def test_parallel_passes_on_unused_nodes():
         cert = longest_avoiding(2, 3, max_nodes=budget, parallel=3, split_depth=2)
         assert not cert.exhausted
         assert cert.nodes_explored <= budget
+
+
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records the size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return list(map(fn, tasks))
+
+
+def test_parallel_pool_is_bounded(monkeypatch):
+    monkeypatch.setattr("ziminwords.search.multiprocessing.Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    # split at depth 2, the Z_2-avoiding tree over 3 letters has 6 subtrees
+    assert longest_avoiding(2, 3, parallel=10**6, split_depth=2) == longest_avoiding(2, 3)
+    budgeted = longest_avoiding(2, 3, max_nodes=80, parallel=10**6, split_depth=2)
+    assert budgeted == longest_avoiding(2, 3, max_nodes=80)
+    assert _SerialPool.sizes == [min(6, os.cpu_count() or 1)] * 2
 
 
 def test_tracker_matches_index_recomputation():

@@ -214,6 +214,10 @@ def test_unavoidability_examples():
     assert not is_unavoidable(Pattern.parse("xx"))
     assert not is_unavoidable(Pattern.parse("x1 x2 x1 x2"))
     assert is_unavoidable(Pattern.parse("x"))
+    # x is free in xyzxz, yet deleting it leaves the avoidable yzz: a
+    # free-set reduction must search over the choice of free set
+    assert is_unavoidable(Pattern.parse("xyzxz"))
+    assert not is_unavoidable(Pattern.parse("yzz"))
     # Z_n itself is unavoidable
     for n in range(1, 5):
         assert is_unavoidable(zimin_pattern(n))
