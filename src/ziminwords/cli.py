@@ -243,8 +243,22 @@ def _cmd_verify(args):
 # parser
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns a malformed command line into an exception that ``run``
+    reports like any other usage error, rather than exiting inside
+    ``parse_args``; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ziminwords", description="Zimin patterns, counters, codings, searches."
     )
     top.add_argument("--pretty", action="store_true", help="human-readable lines on stderr")
@@ -356,7 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> tuple[int, dict | None]:
     """Parse argv, execute, and return (exit code, report dict)."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        return EXIT_USAGE, {"error": str(exc)}
     started = time.monotonic()
     inputs = {
         k: v

@@ -10,10 +10,24 @@ A new encounter created by appending one letter must lie in a suffix of
 the extended word, so each node asks whether some suffix of w·c has Zimin
 type >= n.  ``zimin.ZiminSuffixTracker``, the engine of ``zimin_type`` and
 ``zimin_index``, answers that within the push.
+
+Encountering Z_n, plainly or abelian, does not depend on letter names, so
+the tree is symmetric.  At a node w let u be the smallest letter absent
+from w.  For any other absent letter c, swapping u and c fixes w and maps
+the subtree of w·u one-to-one onto that of w·c, keeping avoidance and
+depth.  The subtree of w·c therefore holds no word deeper than those under
+w·u, which come first in the letters-ascending order, so it cannot change
+the witness.  The search walks the subtree of w·u only and adds its size
+to the node count at the place of each renamed copy: ``nodes_explored``
+counts every node of the letters-ascending tree up to the stop, and the
+nodes of renamed copies are counted, not visited.  From the empty word
+only canonical words are visited, whose letters first occur in ascending
+order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -28,7 +42,7 @@ from .oracles import zimin_type_recursive
 from .words import DEFAULT_DIGIT_CAP, guarded_power, tau
 from .zimin import ZiminSuffixTracker, matches, zimin_index, zimin_pattern
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 LETTERS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
@@ -67,7 +81,10 @@ class SearchCertificate:
     When ``exhausted`` the full tree was explored and f = implied_f();
     otherwise only the lower bound f > max_avoiding_length is certified.
     The witness is the lexicographically smallest avoiding word of maximal
-    explored length.
+    explored length.  ``nodes_explored`` counts every node of the
+    letters-ascending tree up to the stop, including the nodes of subtrees
+    that are renamed copies of explored ones: those are counted, not
+    visited, because renaming letters keeps avoidance and depth.
     """
 
     n: int
@@ -120,29 +137,58 @@ class _Budget:
 
 def _depth_first(tracker, k, budget, *, resume=None, stop_depth=None, frontier=None,
                  checkpoint_path=None, checkpoint_every=None, meta=None):
-    """Letters-ascending DFS over the avoiding tree rooted at tracker.word.
+    """Letters-ascending DFS over the avoiding tree rooted at tracker.word,
+    counting the renamed copies of subtrees instead of walking them (see
+    the module docstring).
 
     Returns (best_length, best_word, exhausted, nodes), with best_word
     rendered.  With ``stop_depth`` the walk does not descend past that depth
-    and appends the words reached there to ``frontier``.  Checkpoints record
-    the current path at node entry, so a resumed run continues exactly where
-    the file says.
+    and appends the visited words reached there to ``frontier``.
+    Checkpoints record the current path at node entry with the skip state of
+    every node on it, so a resumed run continues exactly where the file
+    says.  Skips jump over node counts, so a periodic checkpoint is written
+    at the first entry at or past each multiple of ``checkpoint_every``;
+    and when a checkpointed search's budget ends inside a renamed copy, the
+    copy is walked up to the stop, so that the file names a node.
     """
     base_depth = len(tracker.word)
     best_len = base_depth
     best = tracker.word[:]
     nodes = 1
+    # A node's state: the next letter to try; ``absent``, the bitmask of the
+    # letters absent from its word plus bit k, so that u, its lowest bit, is
+    # the smallest absent letter or k; and ``skip``, the size of the subtree
+    # of its child u once that is closed (0 if the child does not avoid) or,
+    # while it is open, minus the node count before the child.  Each node on
+    # the path below the base keeps its parent's next letter in ``pending``.
+    # Once every letter occurs (u = k), skip stays 0 and absent and u stay
+    # put, so only a parent with an absent letter also saves (u, skip,
+    # absent) in ``saved``, and marks its next letter c as ~c.
+    absent = (1 << (k + 1)) - 1
+    for c in tracker.word:
+        absent &= ~(1 << c)
     pending: list[int] = []
+    saved: list[tuple[int, int, int]] = []
     if resume is not None:
         path = parse_rendered_word(resume["path"])
-        for c in path[base_depth:]:
+        for c, skip in zip(path[base_depth:], resume["skip_state"]):
             if c >= k or not tracker.try_push(c):
                 raise ValueError(f"checkpoint path is not an avoiding word over {k} letters")
-        pending = [c + 1 for c in path[base_depth:]]
+            if absent == 1 << k:
+                pending.append(c + 1)
+            else:
+                pending.append(~(c + 1))
+                saved.append(((absent & -absent).bit_length() - 1, skip, absent))
+                absent &= ~(1 << c)
         best_len = resume["best_length"]
         best = parse_rendered_word(resume["best_witness"])
         nodes = resume["nodes_explored"]
+    u = (absent & -absent).bit_length() - 1
+    max_nodes = budget.max_nodes
+    every = checkpoint_every if checkpoint_path else 0
+    next_checkpoint = -(-nodes // every) * every if every else 0
     cur = 0
+    skip = 0
     entered = True
     exhausted = True
     while True:
@@ -155,33 +201,59 @@ def _depth_first(tracker, k, budget, *, resume=None, stop_depth=None, frontier=N
             if budget.exceeded(nodes):
                 exhausted = False
                 if checkpoint_path:
-                    _write_checkpoint(checkpoint_path, tracker, best_len, best, nodes, meta)
+                    _write_checkpoint(checkpoint_path, tracker, pending, saved, best_len, best, nodes, meta)
                 break
-            if checkpoint_path and checkpoint_every and nodes % checkpoint_every == 0:
-                _write_checkpoint(checkpoint_path, tracker, best_len, best, nodes, meta)
+            if every and nodes >= next_checkpoint:
+                _write_checkpoint(checkpoint_path, tracker, pending, saved, best_len, best, nodes, meta)
+                next_checkpoint = (nodes // every + 1) * every
             if stop_depth is not None and depth >= stop_depth:
                 frontier.append(render_word(tracker.word))
                 cur = k
         if cur >= k:
-            if len(tracker.word) == base_depth:
+            if not pending:
                 break
             tracker.pop()
             cur = pending.pop()
+            if cur < 0:
+                cur = ~cur
+                u, skip, absent = saved.pop()
+                if skip < 0:
+                    skip += nodes
             continue
         c = cur
         cur += 1
+        if c > u and absent >> c & 1:
+            # the subtree of w·c is that of w·u with u and c swapped
+            if max_nodes is None or nodes + skip < max_nodes:
+                nodes += skip
+                continue
+            if not checkpoint_path:
+                # the full walk would stop inside the copy, at max_nodes
+                nodes = max_nodes
+                exhausted = False
+                break
         if tracker.try_push(c):
+            if u < k:
+                pending.append(~cur)
+                saved.append((u, -nodes if c == u else skip, absent))
+                if absent >> c & 1:
+                    absent ^= 1 << c
+                    u = (absent & -absent).bit_length() - 1
+            else:
+                pending.append(cur)
             nodes += 1
-            pending.append(cur)
             cur = 0
+            skip = 0
             entered = True
     return best_len, render_word(best), exhausted, nodes
 
 
-def _write_checkpoint(path, tracker, best_len, best, nodes, meta):
+def _write_checkpoint(path, tracker, pending, saved, best_len, best, nodes, meta):
+    states = iter(saved)
     payload = {
         "version": CHECKPOINT_VERSION,
         "path": render_word(tracker.word),
+        "skip_state": [next(states)[1] if cur < 0 else 0 for cur in pending],
         "best_length": best_len,
         "best_witness": render_word(best),
         "nodes_explored": nodes,
@@ -197,6 +269,7 @@ def _write_checkpoint(path, tracker, best_len, best, nodes, meta):
 
 _CHECKPOINT_FIELDS = {
     "path": str,
+    "skip_state": list,
     "best_length": int,
     "best_witness": str,
     "nodes_explored": int,
@@ -216,7 +289,25 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"checkpoint field {key!r} missing or not a {kind.__name__}")
     if data["best_length"] != len(data["best_witness"]):
         raise ValueError("checkpoint best_length does not match best_witness")
+    skips, nodes = data["skip_state"], data["nodes_explored"]
+    if len(skips) != len(data["path"]) or not all(
+        isinstance(s, int) and not isinstance(s, bool) and -nodes <= s <= nodes for s in skips
+    ):
+        raise ValueError("checkpoint skip_state is not one signed node count per path letter")
     return data
+
+
+def _renamings(words: list[str], k: int) -> list[str]:
+    """Every word that an injective renaming of letters makes of one of
+    ``words``, in letters-ascending order.  Applied to the canonical words
+    at a depth, this gives every avoiding word at that depth."""
+    out = []
+    for text in words:
+        for image in itertools.permutations(LETTERS[:k], len(set(text))):
+            rename = dict(zip(dict.fromkeys(text), image))
+            out.append("".join(rename[c] for c in text))
+    out.sort()
+    return out
 
 
 def _subtree_worker(args):
@@ -256,10 +347,13 @@ def longest_avoiding(
     exhausts none of them.  So ``nodes_explored`` never exceeds
     ``max_nodes``, and the parallel search exhausts whenever the serial one
     does.  ``max_seconds`` applies to the frontier phase and to each task
-    run separately.  Checkpoint/resume is serial-only.
+    run separately.  The frontier phase visits only canonical words; the
+    tasks are every renaming of them.  Checkpoint/resume is serial-only.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
+    if checkpoint_every is not None and checkpoint_every < 0:
+        raise ValueError("need checkpoint_every >= 0 (0 writes no periodic checkpoints)")
     if k > len(LETTERS):
         raise ValueError(f"need k <= {len(LETTERS)}: witnesses are rendered one letter per symbol")
     budget = _Budget(max_nodes, max_seconds)
@@ -287,17 +381,18 @@ def longest_avoiding(
         raise ValueError("checkpointing is supported for serial searches only")
     depth = split_depth if split_depth is not None else max(2, min(12, 2 * n + k))
     tracker = _make_tracker(mode, n, k)
-    frontier: list[str] = []
+    canonical: list[str] = []
     best_len, best, exhausted, nodes = _depth_first(
-        tracker, k, budget, stop_depth=depth, frontier=frontier
+        tracker, k, budget, stop_depth=depth, frontier=canonical
     )
-    if not exhausted:
-        return SearchCertificate(n, k, best_len, best, False, nodes)
+    if not exhausted or not canonical:
+        return SearchCertificate(n, k, best_len, best, exhausted, nodes)
+    frontier = _renamings(canonical, k)
     results = [None] * len(frontier)
     pending = list(range(len(frontier)))
     # more workers than tasks or cores would only idle; the shares depend on
     # the pending tasks alone, so the pool size does not change the result
-    processes = max(1, min(parallel, len(frontier), os.cpu_count() or 1))
+    processes = min(parallel, len(frontier), os.cpu_count() or 1)
     with multiprocessing.Pool(processes) as pool:
         while pending:
             # split the nodes that neither the frontier phase nor a finished

@@ -125,7 +125,8 @@ def test_g_values():
 
 
 @pytest.mark.parametrize(
-    "n, k, g, nodes", [(2, 4, 9, 633), (2, 5, 11, 6331), (3, 2, 29, 45997)]
+    "n, k, g, nodes",
+    [(2, 4, 9, 633), (2, 5, 11, 6331), (3, 2, 29, 45997), (2, 6, 13, 75973), (2, 7, 15, 1063623)],
 )
 def test_g_exact_by_exhaustion(n, k, g, nodes):
     value, cert = g_value(n, k)

@@ -196,6 +196,20 @@ def test_resume_from_checkpoint_without_path_is_usage_error(tmp_path):
     assert "'path'" in json.loads(proc.stdout)["error"]
 
 
+def test_version_1_checkpoint_is_usage_error(tmp_path):
+    ck = tmp_path / "run.json"
+    search = ["search", "f", "--n=3", "--k=2", f"--checkpoint={ck}"]
+    assert _run_in_process([*search, "--budget-nodes=200"])[0] == EXIT_RESOURCE
+    data = json.loads(ck.read_text())
+    data["version"] = 1  # version 1 had no skip_state
+    del data["skip_state"]
+    ck.write_text(json.dumps(data))
+    code, out, err = _run_in_process([*search, "--resume"])
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_USAGE
+    assert "unsupported checkpoint version 1" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("value", ["1", "1,x", "1,2,3"])
 def test_psi_encode_malformed_counter_is_usage_error(value):
     proc = _cli("psi", "encode", "--counter", value)
@@ -363,6 +377,7 @@ _cli_commands = st.one_of(
     ),
     _search_bounds(),
     st.sampled_from([-1, 0, 1, 2, 3, 5, 6, 7]).map(lambda order: ["counters", "check", f"--order={order}"]),
+    st.sampled_from([["regular"], ["regular", "check-identities"], ["regular", "nonsense"]]),
 )
 
 

@@ -1,12 +1,16 @@
+import dataclasses
 import itertools
 import json
 import os
 import random
+import shutil
 from fractions import Fraction
 
 import pytest
 
+from ziminwords import search as search_module
 from ziminwords import zimin_index
+from ziminwords.abelian import AbelianSuffixTracker
 from ziminwords.errors import ResourceLimitError
 from ziminwords.oracles import zimin_index_enumerated
 from ziminwords.search import (
@@ -20,6 +24,7 @@ from ziminwords.search import (
     longest_avoiding,
     match_count_enumerated,
     match_probability,
+    render_word,
 )
 
 
@@ -100,9 +105,11 @@ def test_parallel_passes_on_unused_nodes():
 
 
 class _SerialPool:
-    """Stands in for multiprocessing.Pool: records the size, runs in-process."""
+    """Stands in for multiprocessing.Pool: records the size and the tasks,
+    runs in-process."""
 
     sizes: list = []
+    tasks: list = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -114,6 +121,7 @@ class _SerialPool:
         return False
 
     def map(self, fn, tasks):
+        self.tasks.extend(tasks)
         return list(map(fn, tasks))
 
 
@@ -125,6 +133,75 @@ def test_parallel_pool_is_bounded(monkeypatch):
     budgeted = longest_avoiding(2, 3, max_nodes=80, parallel=10**6, split_depth=2)
     assert budgeted == longest_avoiding(2, 3, max_nodes=80)
     assert _SerialPool.sizes == [min(6, os.cpu_count() or 1)] * 2
+
+
+def test_parallel_opens_no_pool_for_an_empty_frontier(monkeypatch):
+    monkeypatch.setattr("ziminwords.search.multiprocessing.Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    # the Z_1-avoiding tree is the empty word alone
+    for k in (2, 3):
+        assert longest_avoiding(1, k, parallel=2) == longest_avoiding(1, k)
+    assert _SerialPool.sizes == []
+
+
+_TRACKERS = {"zimin": ZiminSuffixTracker, "zimin-oracle": OracleSuffixTracker, "abelian": AbelianSuffixTracker}
+
+
+def _preorder(tracker, k):
+    """The avoiding tree below tracker.word, letters ascending, every node
+    visited: no use of the renaming symmetry."""
+    yield tracker.word[:]
+    for c in range(k):
+        if tracker.try_push(c):
+            yield from _preorder(tracker, k)
+            tracker.pop()
+
+
+def _reference(mode, n, k, base=()):
+    """The certificates of a search from ``base`` at every budget 1..size+1."""
+    tracker = _TRACKERS[mode](n, k)
+    assert all(tracker.try_push(c) for c in base)
+    certs, best = [], list(base)
+    for count, word in enumerate(_preorder(tracker, k), start=1):
+        if len(word) > len(best):
+            best = word
+        certs.append(SearchCertificate(n, k, len(best), render_word(best), False, count))
+    return certs + [dataclasses.replace(certs[-1], exhausted=True)]
+
+
+_SMALL_TREES = [("zimin", 2, 3), ("zimin", 2, 4), ("zimin-oracle", 2, 3), ("zimin-oracle", 2, 4),
+                ("abelian", 2, 3), ("abelian", 2, 4)]
+
+
+@pytest.mark.parametrize("mode, n, k", _SMALL_TREES)
+def test_search_matches_plain_preorder_at_every_budget(mode, n, k):
+    expected = _reference(mode, n, k)
+    assert longest_avoiding(n, k, mode=mode) == expected[-1]
+    for budget, cert in enumerate(expected, start=1):
+        assert longest_avoiding(n, k, mode=mode, max_nodes=budget) == cert, budget
+
+
+@pytest.mark.parametrize("mode, n, k", _SMALL_TREES)
+def test_worker_search_from_base_words_matches_plain_preorder(mode, n, k):
+    # parallel workers start from frontier words that are not canonical
+    bases = [w for w in _preorder(_TRACKERS[mode](n, k), k) if 1 <= len(w) <= 3]
+    for base in bases:
+        expected = _reference(mode, n, k, base)
+        for budget in [None, *range(1, len(expected) + 1)]:
+            cert = expected[-1 if budget is None else budget - 1]
+            got = search_module._subtree_worker((mode, n, k, render_word(base), budget, None))
+            # a worker does not count its base node, counted by the frontier phase
+            expected_result = (cert.max_avoiding_length, cert.witness, cert.exhausted, cert.nodes_explored - 1)
+            assert got == expected_result, (base, budget)
+
+
+def test_parallel_tasks_are_every_word_at_the_split_depth(monkeypatch):
+    monkeypatch.setattr("ziminwords.search.multiprocessing.Pool", _SerialPool)
+    for mode, n, k, depth in [("zimin", 2, 3, 2), ("zimin", 2, 4, 3), ("zimin", 2, 5, 5), ("abelian", 2, 4, 4)]:
+        monkeypatch.setattr(_SerialPool, "tasks", [])
+        assert longest_avoiding(n, k, mode=mode, parallel=2, split_depth=depth) == longest_avoiding(n, k, mode=mode)
+        words = [render_word(w) for w in _preorder(_TRACKERS[mode](n, k), k) if len(w) == depth]
+        assert [task[3] for task in _SerialPool.tasks] == words
 
 
 def test_tracker_matches_index_recomputation():
@@ -200,6 +277,11 @@ def test_checkpoint_rejected_in_parallel(tmp_path):
         longest_avoiding(2, 2, parallel=2, checkpoint_path=str(tmp_path / "x.json"))
 
 
+def test_negative_checkpoint_interval_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        longest_avoiding(2, 2, checkpoint_path=str(tmp_path / "x.json"), checkpoint_every=-1)
+
+
 def test_certificate_json_roundtrip():
     cert = longest_avoiding(2, 2)
     data = json.loads(json.dumps(cert.to_json()))
@@ -273,11 +355,49 @@ def test_checkpoint_survives_crash_mid_write(tmp_path, monkeypatch):
     assert load_checkpoint(ck)["nodes_explored"] == 300
 
 
+@pytest.mark.parametrize("mode, n, k", [("zimin", 2, 3), ("abelian", 2, 3)])
+def test_checkpoint_resumes_at_every_budget(tmp_path, mode, n, k):
+    # with k = 3, renamed copies are counted below the root too, so budgets
+    # end inside them, where the checkpointed search walks to the stop
+    target = longest_avoiding(n, k, mode=mode)
+    ck = tmp_path / "run.json"
+    for budget in range(1, target.nodes_explored + 1):
+        stopped = longest_avoiding(n, k, mode=mode, max_nodes=budget, checkpoint_path=str(ck))
+        assert stopped == longest_avoiding(n, k, mode=mode, max_nodes=budget)
+        assert load_checkpoint(ck)["nodes_explored"] == budget
+        assert longest_avoiding(n, k, mode=mode, checkpoint_path=str(ck), resume=True) == target, budget
+        if budget % 9 == 0:
+            later = budget + 31
+            resumed = longest_avoiding(n, k, mode=mode, max_nodes=later, checkpoint_path=str(ck), resume=True)
+            assert resumed == longest_avoiding(n, k, mode=mode, max_nodes=later), budget
+
+
+def test_periodic_checkpoints_pass_every_multiple(tmp_path, monkeypatch):
+    # renamed copies jump over node counts; each multiple of checkpoint_every
+    # is checkpointed at the first node entered at or past it
+    target = longest_avoiding(2, 4)
+    ck = tmp_path / "run.json"
+    write = search_module._write_checkpoint
+    copies = []
+
+    def keep(path, *args):
+        write(path, *args)
+        copies.append(shutil.copy(path, tmp_path / f"copy{len(copies)}.json"))
+
+    monkeypatch.setattr(search_module, "_write_checkpoint", keep)
+    assert longest_avoiding(2, 4, checkpoint_path=str(ck), checkpoint_every=10) == target
+    counts = [load_checkpoint(c)["nodes_explored"] for c in copies]
+    assert counts == [10, 20, 82, 96, 100]  # counted copies jump from below 30 to 82
+    monkeypatch.undo()
+    for copy in copies:
+        assert longest_avoiding(2, 4, checkpoint_path=str(copy), resume=True) == target
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("path", None), ("best_length", None), ("best_witness", None), ("nodes_explored", None),
      ("path", 7), ("best_length", "12"), ("best_witness", 0), ("nodes_explored", True),
-     ("best_length", 3)],
+     ("best_length", 3), ("skip_state", None), ("skip_state", 0), ("skip_state", [])],
 )
 def test_checkpoint_schema_validated(tmp_path, field, value):
     ck = tmp_path / "run.json"
@@ -290,6 +410,17 @@ def test_checkpoint_schema_validated(tmp_path, field, value):
     ck.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         load_checkpoint(ck)
+    with pytest.raises(ValueError):
+        longest_avoiding(3, 2, checkpoint_path=str(ck), resume=True)
+
+
+@pytest.mark.parametrize("value", [True, -201, 201, "0"])
+def test_checkpoint_skip_state_entries_validated(tmp_path, value):
+    ck = tmp_path / "run.json"
+    longest_avoiding(3, 2, max_nodes=200, checkpoint_path=str(ck))
+    data = json.loads(ck.read_text())
+    data["skip_state"][-1] = value  # a signed node count, at most nodes_explored in size
+    ck.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         longest_avoiding(3, 2, checkpoint_path=str(ck), resume=True)
 
