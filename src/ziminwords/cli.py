@@ -181,8 +181,6 @@ def _cmd_search(args):
         max_nodes=args.budget_nodes,
         max_seconds=args.budget_seconds,
         mode="zimin-oracle" if args.oracle else "zimin",
-        parallel=args.parallel,
-        split_depth=args.split_depth,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -320,12 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = ssub.add_parser("f")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--budget-nodes", type=int, default=None, help="node budget, shared by all tasks under --parallel")
-    q.add_argument(
-        "--budget-seconds", type=float, default=None, help="time budget; under --parallel, each run of a subtree task gets all of it"
-    )
-    q.add_argument("--parallel", type=int, default=1)
-    q.add_argument("--split-depth", type=int, default=None)
+    q.add_argument("--budget-nodes", type=int, default=None)
+    q.add_argument("--budget-seconds", type=float, default=None)
     q.add_argument("--checkpoint", default=None)
     q.add_argument("--checkpoint-every", type=int, default=100_000)
     q.add_argument("--resume", action="store_true")

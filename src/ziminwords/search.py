@@ -23,13 +23,15 @@ counts every node of the letters-ascending tree up to the stop, and the
 nodes of renamed copies are counted, not visited.  From the empty word
 only canonical words are visited, whose letters first occur in ascending
 order.
+
+The search is one serial walk.  Splitting it into subtree tasks at a
+fixed depth would hand each renamed copy above that depth to its own
+task, to be walked in full, and the copies are most of the tree.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -135,21 +137,21 @@ class _Budget:
         return self.deadline is not None and time.monotonic() > self.deadline
 
 
-def _depth_first(tracker, k, budget, *, resume=None, stop_depth=None, frontier=None,
-                 checkpoint_path=None, checkpoint_every=None, meta=None):
+def _depth_first(tracker, k, budget, *, resume=None, checkpoint_path=None, checkpoint_every=None, meta=None):
     """Letters-ascending DFS over the avoiding tree rooted at tracker.word,
     counting the renamed copies of subtrees instead of walking them (see
     the module docstring).
 
     Returns (best_length, best_word, exhausted, nodes), with best_word
-    rendered.  With ``stop_depth`` the walk does not descend past that depth
-    and appends the visited words reached there to ``frontier``.
-    Checkpoints record the current path at node entry with the skip state of
-    every node on it, so a resumed run continues exactly where the file
-    says.  Skips jump over node counts, so a periodic checkpoint is written
-    at the first entry at or past each multiple of ``checkpoint_every``;
-    and when a checkpointed search's budget ends inside a renamed copy, the
-    copy is walked up to the stop, so that the file names a node.
+    rendered and the node count including tracker.word itself.  The walk
+    may start from a non-empty ``tracker.word``: any avoiding word, not
+    only a canonical one.  Checkpoints record the current path at node
+    entry with the skip state of every node on it, so a resumed run
+    continues exactly where the file says.  Skips jump over node counts, so
+    a periodic checkpoint is written at the first entry at or past each
+    multiple of ``checkpoint_every``; and when a checkpointed search's
+    budget ends inside a renamed copy, the copy is walked up to the stop,
+    so that the file names a node.
     """
     base_depth = len(tracker.word)
     best_len = base_depth
@@ -206,9 +208,6 @@ def _depth_first(tracker, k, budget, *, resume=None, stop_depth=None, frontier=N
             if every and nodes >= next_checkpoint:
                 _write_checkpoint(checkpoint_path, tracker, pending, saved, best_len, best, nodes, meta)
                 next_checkpoint = (nodes // every + 1) * every
-            if stop_depth is not None and depth >= stop_depth:
-                frontier.append(render_word(tracker.word))
-                cur = k
         if cur >= k:
             if not pending:
                 break
@@ -297,31 +296,6 @@ def load_checkpoint(path) -> dict:
     return data
 
 
-def _renamings(words: list[str], k: int) -> list[str]:
-    """Every word that an injective renaming of letters makes of one of
-    ``words``, in letters-ascending order.  Applied to the canonical words
-    at a depth, this gives every avoiding word at that depth."""
-    out = []
-    for text in words:
-        for image in itertools.permutations(LETTERS[:k], len(set(text))):
-            rename = dict(zip(dict.fromkeys(text), image))
-            out.append("".join(rename[c] for c in text))
-    out.sort()
-    return out
-
-
-def _subtree_worker(args):
-    mode, n, k, prefix, max_nodes, max_seconds = args
-    tracker = _make_tracker(mode, n, k)
-    for c in parse_rendered_word(prefix):
-        if not tracker.try_push(c):
-            raise AssertionError("frontier word stopped avoiding")
-    best_len, best, exhausted, nodes = _depth_first(
-        tracker, k, _Budget(max_nodes, max_seconds)
-    )
-    return best_len, best, exhausted, nodes - 1  # the frontier node was already counted
-
-
 def longest_avoiding(
     n: int,
     k: int,
@@ -329,26 +303,17 @@ def longest_avoiding(
     max_nodes: Optional[int] = None,
     max_seconds: Optional[float] = None,
     mode: str = "zimin",
-    parallel: int = 1,
-    split_depth: Optional[int] = None,
     checkpoint_path=None,
     checkpoint_every: Optional[int] = 100_000,
     resume: bool = False,
 ) -> SearchCertificate:
     """Explore the Z_n-avoiding prefix tree over [k] exhaustively.
 
-    Parallel runs split the tree at ``split_depth`` into independent
-    subtree tasks; merging is associative (max depth, then the earliest =
-    lexicographically smallest witness), so serial and parallel searches
-    return identical certificates.  In parallel mode ``max_nodes`` is
-    global: the nodes left after the frontier phase are split evenly across
-    the subtree tasks, and the tasks that run out are rerun from scratch
-    with the nodes the exhausted ones left over, in rounds, until a round
-    exhausts none of them.  So ``nodes_explored`` never exceeds
-    ``max_nodes``, and the parallel search exhausts whenever the serial one
-    does.  ``max_seconds`` applies to the frontier phase and to each task
-    run separately.  The frontier phase visits only canonical words; the
-    tasks are every renaming of them.  Checkpoint/resume is serial-only.
+    One serial DFS, counting renamed subtrees instead of walking them (see
+    the module docstring).  ``max_nodes`` and ``max_seconds`` bound the
+    whole search.  With ``checkpoint_path`` the current path is written
+    every ``checkpoint_every`` nodes and when the budget ends; ``resume``
+    continues from that file.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -358,67 +323,22 @@ def longest_avoiding(
         raise ValueError(f"need k <= {len(LETTERS)}: witnesses are rendered one letter per symbol")
     budget = _Budget(max_nodes, max_seconds)
     meta = {"mode": mode, "n": n, "k": k}
-    if parallel <= 1:
-        tracker = _make_tracker(mode, n, k)
-        resume_state = None
-        if resume:
-            resume_state = load_checkpoint(checkpoint_path)
-            for key in ("mode", "n", "k"):
-                if resume_state.get(key) != meta[key]:
-                    raise ValueError(f"checkpoint {key} mismatch")
-        best_len, best, exhausted, nodes = _depth_first(
-            tracker,
-            k,
-            budget,
-            resume=resume_state,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            meta=meta,
-        )
-        return SearchCertificate(n, k, best_len, best, exhausted, nodes)
-
-    if resume or checkpoint_path:
-        raise ValueError("checkpointing is supported for serial searches only")
-    depth = split_depth if split_depth is not None else max(2, min(12, 2 * n + k))
     tracker = _make_tracker(mode, n, k)
-    canonical: list[str] = []
+    resume_state = None
+    if resume:
+        resume_state = load_checkpoint(checkpoint_path)
+        for key in ("mode", "n", "k"):
+            if resume_state.get(key) != meta[key]:
+                raise ValueError(f"checkpoint {key} mismatch")
     best_len, best, exhausted, nodes = _depth_first(
-        tracker, k, budget, stop_depth=depth, frontier=canonical
+        tracker,
+        k,
+        budget,
+        resume=resume_state,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+        meta=meta,
     )
-    if not exhausted or not canonical:
-        return SearchCertificate(n, k, best_len, best, exhausted, nodes)
-    frontier = _renamings(canonical, k)
-    results = [None] * len(frontier)
-    pending = list(range(len(frontier)))
-    # more workers than tasks or cores would only idle; the shares depend on
-    # the pending tasks alone, so the pool size does not change the result
-    processes = min(parallel, len(frontier), os.cpu_count() or 1)
-    with multiprocessing.Pool(processes) as pool:
-        while pending:
-            # split the nodes that neither the frontier phase nor a finished
-            # task used across the pending tasks; each task's budget also
-            # counts its frontier node, counted here already
-            shares = [None] * len(pending)
-            if max_nodes is not None:
-                left = max_nodes - nodes - sum(r[3] for r in results if r is not None and r[2])
-                parts = len(pending)
-                shares = [left // parts + (t < left % parts) + 1 for t in range(parts)]
-            tasks = [(mode, n, k, frontier[t], share, max_seconds) for t, share in zip(pending, shares)]
-            for t, result in zip(pending, pool.map(_subtree_worker, tasks)):
-                results[t] = result
-            unexhausted = [t for t in pending if not results[t][2]]
-            # rerun the unexhausted tasks with what the exhausted ones left;
-            # when the tree has fewer than max_nodes nodes, the pending
-            # subtrees cannot all outgrow their shares, so every round
-            # exhausts at least one task
-            if max_nodes is None or len(unexhausted) == len(pending):
-                break
-            pending = unexhausted
-    for sub_len, sub_best, sub_exhausted, sub_nodes in results:
-        nodes += sub_nodes
-        exhausted = exhausted and sub_exhausted
-        if sub_len > best_len:
-            best_len, best = sub_len, sub_best
     return SearchCertificate(n, k, best_len, best, exhausted, nodes)
 
 
@@ -477,13 +397,18 @@ def first_moment_threshold(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -
 def counter_witness_bounds(order: int, *, encoded: bool = False, indices=None) -> dict:
     """Certify the counter-based lower bounds by direct computation.
 
-    Ranked (encoded=False): checks zimin_index(C_0^order) <= order - 1 and
-    L_order >= tau(order-1), which together certify
-    f(order, 2*order - 1) > tau(order - 1).
+    A checked word w with zimin_index(w) <= n - 1 avoids Z_n, so it
+    certifies f(n, k) > |w| over its alphabet; ``certifies`` names that
+    bound.  The counters of one order, and so their codes, all have one
+    length.  ``tower`` is the paper's formula tau(order - 1), which
+    L_order >= tau(order - 1) puts below it.
+
+    Ranked (encoded=False): checks zimin_index(C_i^order) <= order - 1
+    (index 0 by default), certifying f(order, 2*order - 1) > L_order.
 
     Binary (encoded=True): checks zimin_index(psi(C_i^order)) <= order + 1
     over the given indices (all of them for order <= 3, a prefix of 256 by
-    default beyond), certifying f(order + 2, 2) > tau(order - 1).
+    default beyond), certifying f(order + 2, 2) > |psi(C_i^order)|.
     """
     if order < 3:
         raise ValueError("the counter bounds are stated for order >= 3")
@@ -503,7 +428,7 @@ def counter_witness_bounds(order: int, *, encoded: bool = False, indices=None) -
             "zimin_bound": bound,
             "counter_length": length,
             "tower": t,
-            "certifies": f"f({order}, {2 * order - 1}) > {t}",
+            "certifies": f"f({order}, {2 * order - 1}) > {length}",
             "ok": max(checked.values()) <= bound and length >= t,
         }
         return report
@@ -526,6 +451,6 @@ def counter_witness_bounds(order: int, *, encoded: bool = False, indices=None) -
         "zimin_bound": bound,
         "encoded_length": enc_len,
         "tower": t,
-        "certifies": f"f({order + 2}, 2) > {t}",
+        "certifies": f"f({order + 2}, 2) > {enc_len}",
         "ok": max(checked.values()) <= bound and enc_len >= t,
     }

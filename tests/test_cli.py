@@ -79,6 +79,18 @@ def test_search_f_small(capsys):
     assert report["f"] == 5
     assert report["certificate"]["witness"] == "0011"
     assert report["certificate"]["exhausted"] is True
+    assert list(report["inputs"]) == [
+        "budget_nodes", "budget_seconds", "checkpoint", "checkpoint_every", "cmd", "k", "n", "oracle", "resume",
+        "search_cmd",
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--parallel", "--split-depth"])
+def test_search_f_has_one_serial_path(flag):
+    code, out, err = _run_in_process(["search", "f", "--n", "2", "--k", "2", flag, "2"])
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 2" in json.loads(out)["error"]
 
 
 def test_search_refuses_exact_value_on_budget(capsys):

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import os
 import random
 import shutil
 from fractions import Fraction
@@ -74,76 +73,6 @@ def test_oracle_mode_agrees():
         assert longest_avoiding(n, k) == longest_avoiding(n, k, mode="zimin-oracle")
 
 
-def test_parallel_equals_serial():
-    serial = longest_avoiding(2, 3)
-    for depth in (2, 4):
-        parallel = longest_avoiding(2, 3, parallel=3, split_depth=depth)
-        assert parallel == serial
-
-
-def test_parallel_node_budget_is_global():
-    cert = longest_avoiding(3, 2, max_nodes=500, parallel=2, split_depth=4)
-    assert not cert.exhausted
-    assert cert.nodes_explored <= 500
-    cert = longest_avoiding(2, 3, max_nodes=40, parallel=3, split_depth=2)
-    assert not cert.exhausted
-    assert cert.nodes_explored <= 40
-    # a budget larger than every share of the tree still exhausts it
-    assert longest_avoiding(2, 3, max_nodes=1000, parallel=3, split_depth=2) == longest_avoiding(2, 3)
-
-
-def test_parallel_passes_on_unused_nodes():
-    # the serial search exhausts the 79-node tree with 80 nodes; a single
-    # even split strands the nodes of small subtrees and stops at 65
-    serial = longest_avoiding(2, 3, max_nodes=80)
-    assert serial.exhausted and serial.nodes_explored == 79
-    assert longest_avoiding(2, 3, max_nodes=80, parallel=3, split_depth=2) == serial
-    for budget in (79, 60):
-        cert = longest_avoiding(2, 3, max_nodes=budget, parallel=3, split_depth=2)
-        assert not cert.exhausted
-        assert cert.nodes_explored <= budget
-
-
-class _SerialPool:
-    """Stands in for multiprocessing.Pool: records the size and the tasks,
-    runs in-process."""
-
-    sizes: list = []
-    tasks: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        self.tasks.extend(tasks)
-        return list(map(fn, tasks))
-
-
-def test_parallel_pool_is_bounded(monkeypatch):
-    monkeypatch.setattr("ziminwords.search.multiprocessing.Pool", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    # split at depth 2, the Z_2-avoiding tree over 3 letters has 6 subtrees
-    assert longest_avoiding(2, 3, parallel=10**6, split_depth=2) == longest_avoiding(2, 3)
-    budgeted = longest_avoiding(2, 3, max_nodes=80, parallel=10**6, split_depth=2)
-    assert budgeted == longest_avoiding(2, 3, max_nodes=80)
-    assert _SerialPool.sizes == [min(6, os.cpu_count() or 1)] * 2
-
-
-def test_parallel_opens_no_pool_for_an_empty_frontier(monkeypatch):
-    monkeypatch.setattr("ziminwords.search.multiprocessing.Pool", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    # the Z_1-avoiding tree is the empty word alone
-    for k in (2, 3):
-        assert longest_avoiding(1, k, parallel=2) == longest_avoiding(1, k)
-    assert _SerialPool.sizes == []
-
-
 _TRACKERS = {"zimin": ZiminSuffixTracker, "zimin-oracle": OracleSuffixTracker, "abelian": AbelianSuffixTracker}
 
 
@@ -183,25 +112,17 @@ def test_search_matches_plain_preorder_at_every_budget(mode, n, k):
 
 @pytest.mark.parametrize("mode, n, k", _SMALL_TREES)
 def test_worker_search_from_base_words_matches_plain_preorder(mode, n, k):
-    # parallel workers start from frontier words that are not canonical
+    # a walk may start from any avoiding word, canonical or not
     bases = [w for w in _preorder(_TRACKERS[mode](n, k), k) if 1 <= len(w) <= 3]
     for base in bases:
         expected = _reference(mode, n, k, base)
         for budget in [None, *range(1, len(expected) + 1)]:
             cert = expected[-1 if budget is None else budget - 1]
-            got = search_module._subtree_worker((mode, n, k, render_word(base), budget, None))
-            # a worker does not count its base node, counted by the frontier phase
-            expected_result = (cert.max_avoiding_length, cert.witness, cert.exhausted, cert.nodes_explored - 1)
+            tracker = _TRACKERS[mode](n, k)
+            assert all(tracker.try_push(c) for c in base)
+            got = search_module._depth_first(tracker, k, search_module._Budget(budget, None))
+            expected_result = (cert.max_avoiding_length, cert.witness, cert.exhausted, cert.nodes_explored)
             assert got == expected_result, (base, budget)
-
-
-def test_parallel_tasks_are_every_word_at_the_split_depth(monkeypatch):
-    monkeypatch.setattr("ziminwords.search.multiprocessing.Pool", _SerialPool)
-    for mode, n, k, depth in [("zimin", 2, 3, 2), ("zimin", 2, 4, 3), ("zimin", 2, 5, 5), ("abelian", 2, 4, 4)]:
-        monkeypatch.setattr(_SerialPool, "tasks", [])
-        assert longest_avoiding(n, k, mode=mode, parallel=2, split_depth=depth) == longest_avoiding(n, k, mode=mode)
-        words = [render_word(w) for w in _preorder(_TRACKERS[mode](n, k), k) if len(w) == depth]
-        assert [task[3] for task in _SerialPool.tasks] == words
 
 
 def test_tracker_matches_index_recomputation():
@@ -272,11 +193,6 @@ def test_checkpoint_resume_roundtrip(tmp_path):
     assert resumed == target
 
 
-def test_checkpoint_rejected_in_parallel(tmp_path):
-    with pytest.raises(ValueError):
-        longest_avoiding(2, 2, parallel=2, checkpoint_path=str(tmp_path / "x.json"))
-
-
 def test_negative_checkpoint_interval_rejected(tmp_path):
     with pytest.raises(ValueError):
         longest_avoiding(2, 2, checkpoint_path=str(tmp_path / "x.json"), checkpoint_every=-1)
@@ -317,9 +233,12 @@ def test_counter_witness_bounds_ranked():
     assert report["ok"]
     assert report["zimin_indices"][0] == 2
     assert report["counter_length"] == 20 and report["tower"] == 4
+    assert report["certifies"] == "f(3, 5) > 20"
     report4 = counter_witness_bounds(4)
     assert report4["ok"] and report4["zimin_indices"][0] == 3
     assert report4["counter_length"] == 336 and report4["tower"] == 16
+    # the checked word's length, not the paper's tower
+    assert report4["certifies"] == "f(4, 7) > 336"
 
 
 def test_counter_witness_bounds_encoded():
@@ -328,6 +247,7 @@ def test_counter_witness_bounds_encoded():
     assert set(report["zimin_indices"]) == set(range(16))
     assert max(report["zimin_indices"].values()) <= 4
     assert report["encoded_length"] == 112
+    assert report["certifies"] == "f(5, 2) > 112"
 
 
 def test_counter_witness_bounds_encoded_order4_sample():
@@ -335,6 +255,7 @@ def test_counter_witness_bounds_encoded_order4_sample():
     report = counter_witness_bounds(4, encoded=True, indices=(0, 65535))
     assert report["ok"]
     assert report["encoded_length"] == 1952
+    assert report["certifies"] == "f(6, 2) > 1952"
     assert max(report["zimin_indices"].values()) <= 5
 
 
