@@ -13,6 +13,7 @@ resource exhaustion.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 import time
@@ -46,16 +47,37 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# tower-sized report values (bounded by the digit caps) must survive str()
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 1_100_000))
+
+def _decimal(x: int) -> str:
+    """str(x) in quasi-linear time, for the tower-sized report values that
+    the digit caps allow: str() is quadratic in the digit count and refuses
+    more than 4,300 digits by default.
+
+    x = hi * 2^w + lo is converted half by half, and the halves are joined
+    by decimal's exact arithmetic, whose multiplication is quasi-linear.
+    """
+    if x < 0:
+        return "-" + _decimal(-x)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(n: int, bits: int) -> decimal.Decimal:
+        if bits <= 3000:
+            return decimal.Decimal(n)
+        w = bits >> 1
+        if w not in powers:
+            powers[w] = ctx.power(decimal.Decimal(2), w)
+        hi = n >> w
+        return ctx.add(ctx.multiply(convert(hi, bits - w), powers[w]), convert(n - (hi << w), w))
+
+    return str(convert(x, x.bit_length()))
 
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
     if isinstance(x, int) and abs(x) >= 2**53:
-        return str(x)
+        return _decimal(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple, range)):
@@ -270,7 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("word")
         q.add_argument("--ranked", action="store_true", help="parse the word as ranked text")
         if name == "index":
-            q.add_argument("--length-cap", type=int, default=None)
+            q.add_argument(
+                "--length-cap",
+                type=int,
+                default=None,
+                help=f"refuse longer words with exit 3 (default {DEFAULT_INDEX_LENGTH_CAP}: "
+                "a periodic word of that length takes about 3 s)",
+            )
         q.set_defaults(handler=_cmd_zimin)
     q = zsub.add_parser("encounters")
     q.add_argument("word")

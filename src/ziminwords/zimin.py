@@ -8,20 +8,22 @@ maximum type over all infixes.  A pattern with n distinct variables is
 unavoidable exactly when Z_n (read as a word over its variables)
 encounters it.
 
-``ZiminSuffixTracker`` types the suffixes of a word as each letter is
-appended; ``zimin_type``, ``zimin_index`` and the avoidance search all
-read the Zimin type from it.
+``_prefix_types`` types every prefix of a word in one pass, for
+``zimin_type`` and for ``ZiminSuffixTracker``, which types the suffixes of
+a word as each letter is appended and drives ``zimin_index`` and the search.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 
 DEFAULT_ZIMIN_PATTERN_CAP = 25  # zimin_pattern(n) has 2^n - 1 positions
-DEFAULT_INDEX_LENGTH_CAP = 10_000
+# zimin_index costs about |w|^2 steps on periodic words: a^4000 takes 3 s
+DEFAULT_INDEX_LENGTH_CAP = 4_000
 
 
 class Pattern:
@@ -125,22 +127,18 @@ def _canon(w: Sequence) -> list[int]:
 class ZiminSuffixTracker:
     """Incremental check: would appending a letter close a Z_n encounter?
 
-    State: the current word and, per letter, the bitset of its positions.
-    Pushing c to length l walks the borders of the new suffixes by length
-    b, keeping occ = start positions of earlier copies of the length-b
-    suffix a.  A start s < l - 2b gives the suffix word[s:l] = a·u·a with
-    u non-empty, so zimin_type(word[s:l]) >= 1 + zimin_type(a), and the
-    type of word[s:l] is the maximum of these bounds over its borders.
+    State: the word, per letter the bitset of its positions counted from
+    the end (bit j marks word[len - 1 - j]), and ``top``, the highest Zimin
+    type among the suffixes of the word.
 
-    Every copy at s is a itself, so no table of infix types is needed: one
-    number, the type of a, serves all of occ at once.  That type is read
-    off the push's own rows, which hold the starts of the suffixes of type
-    >= m: bit l - b of rows[m] can only be set by borders shorter than b/2,
-    and those come first.  The walk stops at the first length with no
-    earlier copy clear of the suffix, since a longer border would need
-    one; so a push costs about the length of the longest suffix that
-    occurred before, not the length of the word.  ``rows`` keeps the rows
-    of the last accepted push.
+    A suffix u of w·c has type 1 + max type(a) over its borders a with
+    2|a| < |u|, and such an a is a suffix a_b of w·c with an earlier copy
+    ending at least one letter before a_b starts.  Let B be the longest
+    such b (every shorter one qualifies too): the highest type among the
+    suffixes of w·c is 1 + max type(a_b) over b <= B, or 1 when B = 0.  A
+    push finds B with one bitset AND and one bit test per length, then
+    types every a_b in one pass over the reverse of a_B (a word and its
+    reverse have the same type), memoized for short a_B: about B steps.
     """
 
     def __init__(self, n: int, k: int):
@@ -149,101 +147,103 @@ class ZiminSuffixTracker:
         self.n = n
         self.k = k
         self.word: list[int] = []
-        self.rows: list[int] = [0] * n
+        self.top = 0
+        self._tops: list[int] = []  # top before each push, for pop
         self._letter_pos = [0] * k
 
     def try_push(self, c: int) -> bool:
         """Append c unless it creates a suffix of type >= n; report success."""
-        n = self.n
-        if n == 1:
-            return False
         word = self.word
-        letter_pos = self._letter_pos
-        length = len(word) + 1
-        # rows[m], 2 <= m < n: starts s with zimin_type(word[s:length]) >= m
-        rows = [0] * n
-        occ = letter_pos[c]
-        for b in range(1, (length - 1) // 2 + 1):
-            if b > 1:
-                occ = letter_pos[word[length - b]] & (occ >> 1)
-            occm = occ & ((1 << (length - 2 * b)) - 1)
-            if not occm:
-                # a longer border needs a shorter one with room to spare
-                break
-            s = length - b
-            t = 1  # zimin_type of the length-b suffix
-            while t < n - 1 and rows[t + 1] >> s & 1:
-                t += 1
-            if t == n - 1:
-                # the suffixes starting in occm have type >= n
-                return False
-            for m in range(2, t + 2):
-                rows[m] |= occm
+        pos = self._letter_pos
+        # bit j of ends: a copy of the length-(b+1) suffix of w·c ending at
+        # len(word) - 1 - j; it clears that suffix when j > b
+        ends = pos[c]
+        b = 0
+        while ends.bit_length() > b + 1:
+            b += 1
+            ends &= pos[word[-b]] >> b
+        # the reversed a_b are the prefixes of the reversed a_B
+        v = (c, *word[: len(word) - b : -1]) if b else ()
+        top = _short_top(v) if b <= _SHORT else 1 + max(_prefix_types(v))
+        if top >= self.n:
+            return False
         word.append(c)
-        letter_pos[c] |= 1 << (length - 1)
-        self.rows = rows
+        for x in range(self.k):
+            pos[x] <<= 1
+        pos[c] |= 1
+        self._tops.append(self.top)
+        self.top = top
         return True
 
     def pop(self):
-        c = self.word.pop()
-        self._letter_pos[c] &= ~(1 << len(self.word))
+        self.word.pop()
+        for x in range(self.k):
+            self._letter_pos[x] >>= 1
+        self.top = self._tops.pop()
 
 
-# bound once: code that wraps the search's tracker methods must not see these
+# bound once: code that wraps the search's tracker methods must not see this
 _try_push = ZiminSuffixTracker.try_push
 
-
-def _tracker(x: list[int]) -> ZiminSuffixTracker:
-    """A tracker whose level no word of len(x) letters reaches (types are at
-    most floor(log2(len(x) + 1))), so that no push of x is rejected."""
-    return ZiminSuffixTracker(len(x).bit_length() + 2, max(x) + 1)
+# short reversed suffixes recur (126 distinct ones in the 152,260 pushes of
+# f(3,2) and f(3,3) at 25,000 nodes), so their top is memoized
+_SHORT = 8
 
 
-def _top_row(rows: list[int], starts: int = -1) -> int:
-    """Largest m with rows[m] meeting the bitset starts, or 1 if none does."""
-    m = len(rows) - 1
-    while m > 1 and not rows[m] & starts:
-        m -= 1
-    return m
+@functools.lru_cache(maxsize=1024)
+def _short_top(v: tuple) -> int:
+    return 1 + max(_prefix_types(v))
+
+
+def _prefix_types(v: Sequence) -> list[int]:
+    """types[i] = zimin_type(v[:i]) for 0 <= i <= len(v), in one pass:
+    type(u) = 1 + type(h(u)), h(u) the longest border of u shorter than
+    |u|/2 (or empty), as every shorter such border is a border of h(u) and
+    a border never has a larger type.  h is kept beside the prefix function
+    p, walking down the border chain of p."""
+    m = len(v)
+    p = [0] * (m + 1)  # p[i]: longest proper border of v[:i]
+    types = [0] + [1] * m
+    q = h = 0
+    for i, x in enumerate(v[1:], 2):  # x ends the prefix of length i
+        while q and v[q] != x:
+            q = p[q]
+        if v[q] == x:
+            q += 1
+        p[i] = q
+        while h and v[h] != x:
+            h = p[h]
+        if v[h] == x:
+            h += 1
+        while 2 * h >= i:
+            h = p[h]
+        types[i] = 1 + types[h]
+    return types
 
 
 def zimin_type(w: Sequence) -> int:
-    """Largest n such that w matches Z_n; 0 for the empty word.
-
-    Recursion: for non-empty w the type is 1 plus the maximum type over
-    borders a of w with 2|a| < |w| (decompositions w = a b a, b non-empty).
-    w is the suffix of itself starting at 0, so its type is bit 0 of the
-    rows of its last letter's push.
-    """
-    if len(w) == 0:
-        return 0
-    x = _canon(w)
-    tracker = _tracker(x)
-    # a push reads no earlier rows, so the prefix goes in untyped
-    tracker.word = x[:-1]
-    for i, c in enumerate(tracker.word):
-        tracker._letter_pos[c] |= 1 << i
-    _try_push(tracker, x[-1])
-    return _top_row(tracker.rows, 1)
+    """Largest n such that w matches Z_n; 0 for the empty word.  For
+    non-empty w it is 1 plus the maximum type over borders a of w with
+    2|a| < |w| (decompositions w = a b a, b non-empty)."""
+    return _prefix_types(_canon(w))[-1]
 
 
 def zimin_index(w: Sequence, max_length: Optional[int] = DEFAULT_INDEX_LENGTH_CAP) -> int:
     """Maximum Zimin type over all infixes of w (0 for the empty word).
 
-    Every infix is a suffix of a prefix, so this is the largest type among
-    the suffixes typed by the pushes of w.
+    Every infix is a suffix of a prefix, so this is the highest ``top``
+    over the pushes of w.
     """
     n = len(w)
     if max_length is not None and n > max_length:
         raise ResourceLimitError(f"zimin_index input of length {n} exceeds the cap {max_length}")
-    if n == 0:
-        return 0
     x = _canon(w)
-    tracker = _tracker(x)
-    best = 1
+    # types are at most floor(log2(n + 1)), so no push of x is rejected
+    tracker = ZiminSuffixTracker(n.bit_length() + 2, max(x, default=0) + 1)
+    best = 0
     for c in x:
         _try_push(tracker, c)
-        best = max(best, _top_row(tracker.rows))
+        best = max(best, tracker.top)
     return best
 
 

@@ -1,14 +1,16 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ziminwords.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main, run
+from ziminwords.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, _decimal, _jsonable, main, run
 from ziminwords.coding import parses
 
 
@@ -251,6 +253,16 @@ def test_search_moment_respects_digit_cap():
     assert proc.returncode == EXIT_RESOURCE
     assert "Traceback" not in proc.stderr
     assert "digit" in json.loads(proc.stdout)["error"]
+
+
+def test_report_integers_render_as_str():
+    # below str()'s default limit of 4,300 digits, so str() is the reference
+    rng = random.Random(631300)
+    values = [0, 1, 2**53, 2**3000, 2**3001 - 1, 10**1000, 10**4000 - 1]
+    values += [rng.getrandbits(rng.randrange(1, 14_000)) for _ in range(200)]
+    for x in values:
+        assert _decimal(x) == str(x) and _decimal(-x) == str(-x)
+    assert _jsonable(Fraction(-(3**4000), 2**14_000 + 1)) == f"{-(3**4000)}/{2**14_000 + 1}"
 
 
 @pytest.mark.parametrize("word", ["012", "01201201201"])

@@ -11,7 +11,7 @@ from ziminwords import search as search_module
 from ziminwords import zimin_index
 from ziminwords.abelian import AbelianSuffixTracker
 from ziminwords.errors import ResourceLimitError
-from ziminwords.oracles import zimin_index_enumerated
+from ziminwords.oracles import zimin_index_enumerated, zimin_type_recursive
 from ziminwords.search import (
     OracleSuffixTracker,
     SearchCertificate,
@@ -158,10 +158,32 @@ def test_tracker_push_pop_consistency():
             break
 
 
+def _top_by_oracle(word):
+    return max((zimin_type_recursive(word[s:]) for s in range(len(word))), default=0)
+
+
+def _state(tracker):
+    return tracker.word[:], tracker._letter_pos[:], tracker.top
+
+
+def _fresh_state(n, k, word):
+    fresh = ZiminSuffixTracker(n, k)
+    assert all(fresh.try_push(c) for c in word)
+    return _state(fresh)
+
+
 def test_tracker_random_walks_match_oracle():
+    # Z_2 = x1 x2 x1: at n = 2 a push is refused as soon as the new suffix
+    # has an earlier copy clear of it
+    tracker = ZiminSuffixTracker(2, 2)
+    assert tracker.try_push(0) and tracker.try_push(0) and tracker.try_push(1)
+    assert not tracker.try_push(0)
+    assert tracker.try_push(1)
+    assert not tracker.try_push(0) and not tracker.try_push(1)
+    assert _state(tracker) == _fresh_state(2, 2, [0, 0, 1, 1])
     rng = random.Random(20190215)
     for n in (2, 3, 4, 5):
-        for k in (2, 3, 4):
+        for k in (1, 2, 3, 4):
             for _ in range(6):
                 fast, slow = ZiminSuffixTracker(n, k), OracleSuffixTracker(n, k)
                 max_len = rng.randrange(20, 61)
@@ -169,10 +191,14 @@ def test_tracker_random_walks_match_oracle():
                     if fast.word and (len(fast.word) >= max_len or rng.random() < 0.25):
                         fast.pop()
                         slow.pop()
-                        continue
-                    c = rng.randrange(k)
-                    assert fast.try_push(c) == slow.try_push(c), (n, k, fast.word, c)
+                    else:
+                        c = rng.randrange(k)
+                        assert fast.try_push(c) == slow.try_push(c), (n, k, fast.word, c)
                     assert fast.word == slow.word
+                    # after a push, a refused push or a pop, the state is that
+                    # of a tracker built on the word from scratch
+                    assert fast.top == _top_by_oracle(fast.word), (n, k, fast.word)
+                    assert _state(fast) == _fresh_state(n, k, fast.word), (n, k, fast.word)
 
 
 def test_deep_f42_search_pinned():

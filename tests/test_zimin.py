@@ -19,7 +19,7 @@ from ziminwords.counters import counter
 from ziminwords.errors import ResourceLimitError
 from ziminwords.oracles import zimin_index_enumerated, zimin_type_recursive
 from ziminwords.words import RankedWord, sym
-from ziminwords.zimin import DEFAULT_INDEX_LENGTH_CAP
+from ziminwords.zimin import DEFAULT_INDEX_LENGTH_CAP, _prefix_types
 
 
 def binary_words(max_len, min_len=0):
@@ -118,6 +118,17 @@ def test_type_and_index_agree_with_oracles_exhaustively():
     for w in binary_words(10):
         assert zimin_type(w) == zimin_type_recursive(w)
         assert zimin_index(w) == zimin_index_enumerated(w)
+
+
+def test_prefix_types_agree_with_oracle_on_ternary_words():
+    # every ternary word of length <= 9 is a prefix of one of length 9
+    oracle: dict = {}
+    for w in itertools.product("abc", repeat=9):
+        got = _prefix_types(w)
+        for i in range(10):
+            if w[:i] not in oracle:
+                oracle[w[:i]] = zimin_type_recursive(w[:i])
+            assert got[i] == oracle[w[:i]], w[:i]
 
 
 @settings(max_examples=300)
