@@ -31,7 +31,7 @@ print("\n== Zimin type and index ==")
 for w in ["aaab", "aba", "a" * 7 + "b" + "a" * 7, "baaabaaa", "bbaba"]:
     print(f"type({w!r}) = {zimin_type(w)},  index({w!r}) = {zimin_index(w)}")
 
-print("\n== unavoidability (decided inside the Zimin word) ==")
+print("\n== unavoidability (decided by free-letter deletions) ==")
 for text in ["x", "xx", "xyx", "xyxzxyx", "x1 x2 x1 x2"]:
     p = Pattern.parse(text)
     print(f"{str(p):18s} unavoidable: {is_unavoidable(p)}")

@@ -307,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_zimin)
     q = zsub.add_parser("unavoidable")
     q.add_argument("pattern")
-    q.add_argument("--pattern-cap", type=int, default=None)
+    q.add_argument(
+        "--pattern-cap",
+        type=int,
+        default=None,
+        help="refuse patterns with more distinct variables with exit 3 "
+        f"(default {DEFAULT_ZIMIN_PATTERN_CAP})",
+    )
     q.set_defaults(handler=_cmd_zimin)
 
     p = sub.add_parser("counters", help="build and check higher-order counters")

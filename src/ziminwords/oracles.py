@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive: direct definitions, quadratic scans,
 exhaustive enumeration.  The fast implementations elsewhere are tested
-against these, so nothing in this module may share code with them.
+against these, so nothing in this module may share code with them.  The
+Zimin-word test of unavoidability uses ``encounters`` and
+``zimin_pattern``, which ``is_unavoidable`` does not call.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .zimin import Pattern, encounters, zimin_pattern
 
 
 def occurrences_brute(needle: Sequence, haystack: Sequence) -> list[int]:
@@ -127,3 +131,18 @@ def parses_all_splits(a: str) -> list[tuple[str, tuple, str]]:
 
 def simple_brute(a: str) -> bool:
     return len(a) < 11 or "0" * 10 in a or "1" * 10 in a or in_F_brute(a)
+
+
+# ---------------------------------------------------------------------------
+# unavoidability
+
+
+def is_unavoidable_via_zimin(p: Pattern) -> bool:
+    """Zimin's criterion: a pattern with n distinct variables is unavoidable
+    iff Z_n, read as a word over its variables, encounters it.  Z_n has
+    2^n - 1 letters and ``encounters`` backtracks over every infix, so this
+    is practical up to about 5 variables."""
+    if len(p) == 0:
+        raise ValueError("pattern must be non-empty")
+    z = tuple(zimin_pattern(len(p.distinct_variables)))
+    return encounters(z, p) is not None

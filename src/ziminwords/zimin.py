@@ -6,7 +6,8 @@ yields w; it *encounters* the pattern when some infix matches it.  The Zimin
 type of w is the largest n with w matching Z_n; the Zimin index is the
 maximum type over all infixes.  A pattern with n distinct variables is
 unavoidable exactly when Z_n (read as a word over its variables)
-encounters it.
+encounters it; ``is_unavoidable`` decides it by free-letter deletions
+instead, without building Z_n.
 
 ``_prefix_types`` types every prefix of a word in one pass, for
 ``zimin_type`` and for ``ZiminSuffixTracker``, which types the suffixes of
@@ -16,12 +17,15 @@ a word as each letter is appended and drives ``zimin_index`` and the search.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 
-DEFAULT_ZIMIN_PATTERN_CAP = 25  # zimin_pattern(n) has 2^n - 1 positions
+# most distinct variables of a pattern for is_unavoidable, and most n for
+# zimin_pattern(n), which has 2^n - 1 positions
+DEFAULT_ZIMIN_PATTERN_CAP = 25
 # zimin_index costs about |w|^2 steps on periodic words: a^4000 takes 3 s
 DEFAULT_INDEX_LENGTH_CAP = 4_000
 
@@ -318,11 +322,81 @@ def encounters(w: Sequence, p: Pattern) -> Optional[tuple[int, MorphismWitness]]
 def is_unavoidable(p: Pattern, cap: int = DEFAULT_ZIMIN_PATTERN_CAP) -> bool:
     """Whether every long enough word over every finite alphabet encounters p.
 
-    Decided by checking whether Z_n encounters p, where n is the number of
-    distinct variables of p.
+    Decided by the Bean-Ehrenfeucht-McNulty reduction: p is unavoidable iff
+    some sequence of free-set deletions reduces it to the empty word.  In
+    the adjacency graph of p each factor ``ab`` joins a^L to b^R, and x is
+    free when x^L and x^R lie in different components.  Deleting one free
+    letter x only joins the component of x^R to that of x^L, so every other
+    letter of a free set containing x stays free: deleting one free letter
+    at a time reaches every reduction.  The order matters (in ``xyx``,
+    deleting y leaves the avoidable ``xx``), so the search tries every free
+    letter and memoizes on the remaining pattern up to renaming (deleting
+    either of two adjacent letters that occur once leaves the same one),
+    with one prune: every factor of an unavoidable pattern is unavoidable
+    and has a letter occurring once in it (the one whose image holds the
+    highest letter of a Zimin word encountering it), so a factor without
+    one ends the branch.
+
+    The worst case is exponential in the number of variables, which ``cap``
+    bounds.
     """
     if len(p) == 0:
         raise ValueError("pattern must be non-empty")
-    n = len(p.distinct_variables)
-    zword = tuple(zimin_pattern(n, cap=cap))
-    return encounters(zword, p) is not None
+    x = tuple(_canon(p))
+    m = max(x) + 1
+    if m > cap:
+        raise ResourceLimitError(f"pattern has {m} distinct variables (cap {cap})")
+    avoidable: set[tuple] = set()  # canonical patterns that do not reduce to the empty word
+    stack = [(x, iter(_free_letters(x)))]
+    while stack:
+        q, free = stack[-1]
+        for c in free:
+            rest = tuple(_canon([a for a in q if a != c]))
+            if not rest:
+                return True
+            if rest not in avoidable:
+                stack.append((rest, iter(_free_letters(rest))))
+                break
+        else:
+            avoidable.add(q)
+            stack.pop()
+    return False
+
+
+def _free_letters(q: tuple) -> list[int]:
+    """The free letters of the canonical pattern q, or none when a factor of
+    q has no letter occurring once in it."""
+    edges = set(zip(q, q[1:]))
+    if any(a == b for a, b in edges) or _has_factor_without_single(q):
+        return []
+    m = max(q) + 1
+    parent = list(range(2 * m))  # 2c is c^L, 2c + 1 is c^R
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for a, b in edges:
+        parent[find(2 * a)] = find(2 * b + 1)
+    return [c for c in range(m) if find(2 * c) != find(2 * c + 1)]
+
+
+def _has_factor_without_single(q: Sequence[int]) -> bool:
+    """Whether some factor of q, which has no factor ``aa``, has every letter
+    at least twice.
+
+    A letter occurring once in a range splits it, and no such factor
+    crosses the split; each part lacks a letter of the range it came from,
+    so the splits nest at most as deep as q has letters."""
+    ranges = [(0, len(q))]
+    while ranges:
+        lo, hi = ranges.pop()
+        count = Counter(q[lo:hi])
+        cuts = sorted(q.index(c, lo, hi) for c, k in count.items() if k == 1)
+        if not cuts:
+            return True
+        bounds = [lo - 1, *cuts, hi]
+        # without a factor aa, such a factor has at least four letters
+        ranges += [(a + 1, b) for a, b in zip(bounds, bounds[1:]) if b - a > 4]
+    return False

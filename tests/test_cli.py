@@ -381,6 +381,9 @@ _cli_commands = st.one_of(
     st.builds(lambda w, cap: ["zimin", "index", w, *cap], _word, _optional_flag("length-cap", _small_int)),
     st.builds(lambda w, p: ["zimin", "encounters", w, p], _word, _pattern),
     st.builds(
+        lambda p, cap: ["zimin", "unavoidable", p, *cap], _pattern, _optional_flag("pattern-cap", _small_int)
+    ),
+    st.builds(
         lambda n, k, b: ["search", "f", f"--n={n}", f"--k={k}", f"--budget-nodes={b}"],
         _small_int, st.integers(min_value=-1, max_value=40), _budget,
     ),

@@ -17,7 +17,7 @@ from ziminwords import (
 )
 from ziminwords.counters import counter
 from ziminwords.errors import ResourceLimitError
-from ziminwords.oracles import zimin_index_enumerated, zimin_type_recursive
+from ziminwords.oracles import is_unavoidable_via_zimin, zimin_index_enumerated, zimin_type_recursive
 from ziminwords.words import RankedWord, sym
 from ziminwords.zimin import DEFAULT_INDEX_LENGTH_CAP, _prefix_types
 
@@ -230,5 +230,53 @@ def test_unavoidability_examples():
     assert is_unavoidable(Pattern.parse("xyzxz"))
     assert not is_unavoidable(Pattern.parse("yzz"))
     # Z_n itself is unavoidable
-    for n in range(1, 5):
+    for n in range(1, 9):
         assert is_unavoidable(zimin_pattern(n))
+    # no variable of a square occurs once, up to the 25-variable cap
+    for m in range(1, 26):
+        assert not is_unavoidable(Pattern(list(range(1, m + 1)) * 2))
+    # the benchmark's certify patterns
+    for text, answer in [
+        ("x1 x1", False),
+        ("x1 x2 x1", True),
+        ("x1 x2 x1 x2", False),
+        ("x1 x2 x3 x2 x1", True),
+        ("x1 x2 x1 x3 x4 x3 x5 x1", True),
+        ("x1 x2 x3 x4 x1 x2 x3 x4", False),
+        ("x1 x2 x3 x1 x2 x4 x5 x4 x5", False),
+        ("x1 x2 x3 x4 x5 x1 x2 x3 x4 x5", False),
+        (str(zimin_pattern(5)), True),
+    ]:
+        assert is_unavoidable(Pattern.parse(text)) is answer
+
+
+def _canonical_patterns(length, max_vars):
+    """Every pattern of the given length over at most max_vars variables,
+    numbered in order of first occurrence."""
+    if length == 0:
+        yield ()
+        return
+    for p in _canonical_patterns(length - 1, max_vars):
+        for v in range(1, min(max(p, default=0) + 1, max_vars) + 1):
+            yield p + (v,)
+
+
+def test_unavoidability_matches_zimin_word_oracle():
+    patterns = [p for n in range(1, 9) for p in _canonical_patterns(n, 4)]
+    assert len(patterns) == 3771
+    rng = random.Random(14)
+    while len(patterns) < 3771 + 30:
+        p = [rng.randint(1, 5) for _ in range(rng.randint(9, 10))]
+        if len(set(p)) == 5:
+            patterns.append(tuple(p))
+    for p in patterns:
+        assert is_unavoidable(Pattern(p)) == is_unavoidable_via_zimin(Pattern(p)), p
+
+
+def test_unavoidability_cap_counts_variables():
+    # 25 variables are within the default cap
+    assert not is_unavoidable(Pattern([25, *range(1, 25), *range(1, 25)]))
+    with pytest.raises(ResourceLimitError, match=r"pattern has 26 distinct variables \(cap 25\)"):
+        is_unavoidable(Pattern(range(1, 27)))
+    with pytest.raises(ResourceLimitError, match=r"pattern has 2 distinct variables \(cap 1\)"):
+        is_unavoidable(Pattern.parse("xyx"), cap=1)
