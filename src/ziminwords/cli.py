@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -93,10 +94,24 @@ def _word_arg(args):
     return args.word
 
 
+def _silence(stream):
+    """After a BrokenPipeError on stream: its reader has gone, as in `| head`.
+    Point its descriptor at devnull, as the signal module's docs advise, so
+    that later writes and the flush at exit stay silent and the exit code is
+    the run's own."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _run_checks(checks, stream=None) -> tuple[dict, int]:
     """Print the PASS/FAIL lines (stderr by default) and build the report."""
-    for c in checks:
-        print(c.line(), file=stream or sys.stderr)
+    stream = stream or sys.stderr
+    try:
+        for c in checks:
+            print(c.line(), file=stream)
+    except BrokenPipeError:
+        _silence(stream)
     report = {
         "checks": [
             {"name": c.name, "passed": c.passed, "details": c.details} for c in checks
@@ -136,8 +151,11 @@ def _cmd_zimin(args):
 def _cmd_counters(args):
     if args.counters_cmd == "make":
         if args.stream:
-            for s in counter_stream(args.index, args.order):
-                sys.stdout.write(f"{s}\n")
+            try:
+                for s in counter_stream(args.index, args.order):
+                    sys.stdout.write(f"{s}\n")
+            except BrokenPipeError:
+                _silence(sys.stdout)
             return None, EXIT_OK
         cap = DEFAULT_SYMBOL_CAP if args.symbol_cap is None else args.symbol_cap
         w = counter(args.index, args.order, symbol_cap=cap)
@@ -425,10 +443,15 @@ def run(argv=None) -> tuple[int, dict | None]:
 
 def main(argv=None) -> int:
     code, report = run(argv)
-    if report is not None:
-        print(json.dumps(report))
-        if "--pretty" in (argv or sys.argv[1:]):
-            _pretty(report)
+    try:
+        if report is not None:
+            print(json.dumps(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence(sys.stdout)
+        return code
+    if report is not None and "--pretty" in (argv or sys.argv[1:]):
+        _pretty(report)
     return code
 
 

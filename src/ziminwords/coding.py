@@ -83,8 +83,7 @@ def is_simple(a: str) -> bool:
     return language_dfas().F.accepts(a)
 
 
-@dataclass(frozen=True)
-class Parse:
+class Parse(NamedTuple):
     """A partial decoding (left, center, right) with value left psi(center) right."""
 
     left: str
@@ -111,13 +110,21 @@ class ParseContext:
     start: int
 
 
-# C as a Python regex, its groups non-capturing ("(" only opens groups in the
-# regexes above) so that findall returns whole codes.  C is a prefix code: at
-# most one code begins at any position, so the greedy (C)* match is the
-# unique maximal chain, and as nothing follows the star the engine never
-# backtracks into a shorter chain.
+# C and R as Python regexes, their groups non-capturing ("(" only opens
+# groups in the regexes above) so that findall returns whole codes and group 1
+# of _TAIL is the chain.  parses makes one fullmatch of (C)*R per left part.
+# C is a prefix code: at most one code begins at any position, so the greedy
+# (C)* match is the unique maximal chain.  Every cut of that chain but the
+# last is followed by a whole code, and no word of R (a strict prefix of a
+# code) begins with a whole code, so when R fails after the greedy chain,
+# backtracking into a shorter chain can never succeed either: the match is
+# exact, and at most one parse exists per left part.  The engine still tries
+# those shorter chains before it gives up, but each R attempt ends inside the
+# code after its cut, so a failing tail costs time linear in its length.  A
+# possessive (C)*+ would skip them, but it needs Python 3.11, and the package
+# supports 3.10.
 _C_CODE = re.compile(C_REGEX.replace("(", "(?:"))
-_C_CHAIN = re.compile(f"(?:{_C_CODE.pattern})*")
+_TAIL = re.compile(f"((?:{_C_CODE.pattern})*)(?:{R_REGEX.replace('(', '(?:')})")
 
 
 @lru_cache(maxsize=64)
@@ -135,19 +142,14 @@ def parses(a: str) -> list[Parse]:
     bad = a.strip("01")
     if bad:
         raise ValueError(f"symbol {bad[0]!r} not in alphabet ('0', '1')")
-    dfas = language_dfas()
     out = []
-    for i in dfas.L.accepting_prefixes(a):
-        # R holds strict prefixes of codes, and in a prefix code no strict
-        # prefix of a code begins with a whole code.  Every cut of the
-        # chain but the last is followed by a whole code, so only the last
-        # cut can leave a remainder in R: one parse per left part at most.
-        end = _C_CHAIN.match(a, i).end()
-        right = a[end:]
-        if dfas.R.accepts(right):
+    for i in language_dfas().L.accepting_prefixes(a):
+        m = _TAIL.fullmatch(a, i)
+        if m:
+            end = m.end(1)
             # a list, not an iterator, so RankedWord's tuple gets its exact size
             symbols = list(map(_symbol_of_code, _C_CODE.findall(a, i, end)))
-            out.append(Parse(a[:i], RankedWord(symbols), right))
+            out.append(Parse(a[:i], RankedWord(symbols), a[end:]))
     return out
 
 

@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -10,8 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ziminwords.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, _decimal, _jsonable, main, run
+from ziminwords.cli import (
+    EXIT_FAIL,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    _decimal,
+    _jsonable,
+    _run_checks,
+    main,
+    run,
+)
 from ziminwords.coding import parses
+from ziminwords.verify import CheckResult
 
 
 def invoke(argv, capsys):
@@ -292,6 +305,89 @@ def test_psi_parses_non_binary_is_usage_error(word, stdout):
     assert code == EXIT_USAGE
     assert out == stdout
     assert "Traceback" not in err
+
+
+def test_psi_parses_stdout_is_pinned():
+    code, out, err = _run_in_process(["psi", "parses", "0000000000"])
+    assert code == EXIT_OK
+    assert out == (
+        '{"command": "psi", "inputs": {"cmd": "psi", "psi_cmd": "parses", "word": "0000000000"}, '
+        '"result": [{"left": "", "center": "0_1 0_1", "right": "00"}, '
+        '{"left": "0", "center": "0_1 0_1", "right": "0"}, '
+        '{"left": "00", "center": "0_1 0_1", "right": ""}, '
+        '{"left": "000", "center": "0_1", "right": "000"}], "count": 4}\n'
+    )
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["zimin", "index", "0101"], EXIT_OK),
+        (["counters", "make", "--order", "2", "--index", "9"], EXIT_USAGE),
+        (["counters", "make", "--order", "3", "--index", "0", "--stream"], EXIT_OK),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, expected):
+    fd = _closed_pipe()
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(_ClosedPipe(fd)), contextlib.redirect_stderr(err):
+            code = main(argv)
+        # main pointed the descriptor at devnull, so the flush at exit is silent
+        assert os.write(fd, b"x") == 1
+    finally:
+        os.close(fd)
+    assert code == expected
+    assert err.getvalue() == ""
+
+
+def test_check_lines_on_a_closed_stdout_keep_the_verdict():
+    fd = _closed_pipe()
+    try:
+        checks = [CheckResult("holds", True), CheckResult("breaks", False)]
+        report, code = _run_checks(checks, _ClosedPipe(fd))
+    finally:
+        os.close(fd)
+    assert code == EXIT_FAIL and report["all_passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv", [["zimin", "index", "0101"], ["counters", "make", "--order", "5", "--index", "0", "--stream"]]
+)
+def test_closed_pipe_prints_no_traceback(argv):
+    # as `ziminwords ... | head -c 0`: the reader is gone before the first
+    # write; the order-5 stream would run to 22,085,632 lines.  stdout is
+    # block-buffered, as by default, so the report fails at its flush
+    read_end, write_end = os.pipe()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ziminwords.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env
+    )
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert err == ""
 
 
 def test_counters_check_order_5_is_refused():

@@ -153,14 +153,15 @@ def _infixes_and_binary_words():
     yield from binary_words(12)
 
 
+def _parse_key(p):
+    return (p.left, tuple((q.bit, q.order) for q in p.center), p.right)
+
+
 def _assert_parses_match_oracle(infix):
     got = parses(infix)
     expected = parses_all_splits(infix)
     assert len(got) == len(expected), infix
-    got_as_tuples = [
-        (p.left, tuple((q.bit, q.order) for q in p.center), p.right) for p in got
-    ]
-    assert sorted(got_as_tuples) == sorted(expected), infix
+    assert sorted(map(_parse_key, got)) == sorted(expected), infix
     for p in got:
         assert p.value == infix
 
@@ -181,6 +182,58 @@ def test_parses_match_oracle_on_random_codings(w, cut):
     a = psi(w)
     s, e = sorted(round(x * len(a)) for x in cut)
     _assert_parses_match_oracle(a[s:e])
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.builds(sym, st.integers(0, 1), st.integers(1, 5)), max_size=8), data=st.data())
+def test_parses_contain_the_parse_of_the_cut(w, data):
+    a = psi(w)
+    s = data.draw(st.integers(0, len(a)), label="start")
+    e = data.draw(st.integers(s, len(a)), label="end")
+    infix = a[s:e]
+    got = parses(infix)
+    starts = [0, *itertools.accumulate(len(psi_symbol(x)) for x in w)]
+    # the cut [s, e) implies the parse whose center is every code inside it;
+    # an infix strictly inside one code implies none
+    first = next(j for j, b in enumerate(starts) if b >= s)
+    last = max(j for j, b in enumerate(starts) if b <= e)
+    if first <= last:
+        implied = Parse(a[s : starts[first]], RankedWord(w[first:last]), a[starts[last] : e])
+        assert implied in got, (infix, implied)
+    assert all(p.value == infix for p in got)
+    assert [len(p.left) for p in got] == sorted(len(p.left) for p in got)
+    if len(infix) <= 14:
+        assert list(map(_parse_key, got)) == parses_all_splits(infix), infix
+
+
+def test_parses_of_long_and_pathological_words():
+    # long (C)* chains, and failing tails after which the regex engine tries
+    # every shorter chain before it gives up
+    got = parses("0" * 100_000)
+    assert [(p.left, p.right) for p in got] == [("", ""), ("0", "000"), ("00", "00"), ("000", "0")]
+    assert [len(p.center) for p in got] == [25_000, 24_999, 24_999, 24_999]
+    assert all(p.value == "0" * 100_000 for p in got)
+    assert parses("000100" * 16_000 + "0101") == []
+    (p,) = parses("0000" * 25_000 + "010")
+    assert (p.left, p.right) == ("00", "00010")
+    assert p.center == RankedWord([sym(0, 1)] * 24_999)
+    assert parses("01" * 50_000) == []
+
+
+def test_parse_contract():
+    u = RankedWord.parse("0_1 0_1")
+    p = Parse("", u, "00")
+    assert Parse._fields == ("left", "center", "right")
+    assert (p.left, p.center, p.right) == ("", u, "00")
+    assert p.value == "0" * 10
+    assert str(p) == "(e, 0_1 0_1, 00)"
+    assert str(Parse("000", RankedWord.parse("0_1"), "000")) == "(000, 0_1, 000)"
+    assert str(Parse("", RankedWord(), "")) == "(e, e, e)"
+    assert repr(p) == "Parse(left='', center=RankedWord('0_1 0_1'), right='00')"
+    q = Parse(left="", center=RankedWord.parse("0_1 0_1"), right="00")
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != Parse("0", u, "0")
+    assert parses("0" * 10)[0] == p
 
 
 def test_unique_parse_for_non_simple_infixes():
