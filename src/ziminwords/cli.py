@@ -415,11 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> tuple[int, dict | None]:
     """Parse argv, execute, and return (exit code, report dict)."""
+    code, report, _ = _run(argv)
+    return code, report
+
+
+def _run(argv):
+    """``run``, also returning the parsed arguments (None if argv is malformed)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        return EXIT_USAGE, {"error": str(exc)}
+        return EXIT_USAGE, {"error": str(exc)}, None
     started = time.monotonic()
     inputs = {
         k: v
@@ -429,20 +435,20 @@ def run(argv=None) -> tuple[int, dict | None]:
     try:
         result, code = args.handler(args)
     except ResourceLimitError as exc:
-        return EXIT_RESOURCE, {"command": args.cmd, "error": str(exc)}
+        return EXIT_RESOURCE, {"command": args.cmd, "error": str(exc)}, args
     except (ValueError, OSError) as exc:
-        return EXIT_USAGE, {"command": args.cmd, "error": str(exc)}
+        return EXIT_USAGE, {"command": args.cmd, "error": str(exc)}, args
     if result is None:
-        return code, None
+        return code, None, args
     report = {"command": args.cmd, "inputs": _jsonable(inputs)}
     report.update(_jsonable(result))
     if args.timing:
         report["timing_seconds"] = round(time.monotonic() - started, 3)
-    return code, report
+    return code, report, args
 
 
 def main(argv=None) -> int:
-    code, report = run(argv)
+    code, report, args = _run(argv)
     try:
         if report is not None:
             print(json.dumps(report))
@@ -450,7 +456,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _silence(sys.stdout)
         return code
-    if report is not None and "--pretty" in (argv or sys.argv[1:]):
+    if report is not None and args is not None and args.pretty:
         _pretty(report)
     return code
 

@@ -33,14 +33,16 @@ task, to be walked in full, and the copies are most of the tree.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .counters import counter, counter_length
+from .counters import counter
 from .errors import ResourceLimitError
 from .oracles import zimin_type_recursive
 from .words import DEFAULT_DIGIT_CAP, guarded_power, tau
@@ -106,14 +108,7 @@ class SearchCertificate:
         return self.max_avoiding_length + 1
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "max_avoiding_length": self.max_avoiding_length,
-            "witness": self.witness,
-            "exhausted": self.exhausted,
-            "nodes_explored": self.nodes_explored,
-        }
+        return asdict(self)
 
 
 def _make_tracker(mode: str, n: int, k: int):
@@ -128,18 +123,9 @@ def _make_tracker(mode: str, n: int, k: int):
     raise ValueError(f"unknown tracker mode {mode!r}")
 
 
-class _Budget:
-    def __init__(self, max_nodes, max_seconds):
-        self.max_nodes = max_nodes
-        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
-
-    def exceeded(self, nodes: int) -> bool:
-        if self.max_nodes is not None and nodes >= self.max_nodes:
-            return True
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-
-def _depth_first(tracker, k, budget, *, resume=None, checkpoint_path=None, checkpoint_every=None, meta=None):
+def _depth_first(
+    tracker, k, max_nodes, deadline=None, *, resume=None, checkpoint_path=None, checkpoint_every=None, meta=None
+):
     """Letters-ascending DFS over the avoiding tree rooted at tracker.word,
     counting the renamed copies of subtrees instead of walking them (see
     the module docstring).
@@ -188,7 +174,6 @@ def _depth_first(tracker, k, budget, *, resume=None, checkpoint_path=None, check
         best = parse_rendered_word(resume["best_witness"])
         nodes = resume["nodes_explored"]
     u = (absent & -absent).bit_length() - 1
-    max_nodes = budget.max_nodes
     every = checkpoint_every if checkpoint_path else 0
     next_checkpoint = -(-nodes // every) * every if every else 0
     cur = 0
@@ -202,7 +187,9 @@ def _depth_first(tracker, k, budget, *, resume=None, checkpoint_path=None, check
             if depth > best_len:
                 best_len = depth
                 best = tracker.word[:]
-            if budget.exceeded(nodes):
+            if (max_nodes is not None and nodes >= max_nodes) or (
+                deadline is not None and time.monotonic() > deadline
+            ):
                 exhausted = False
                 if checkpoint_path:
                     _write_checkpoint(checkpoint_path, tracker, pending, saved, best_len, best, nodes, meta)
@@ -260,12 +247,21 @@ def _write_checkpoint(path, tracker, pending, saved, best_len, best, nodes, meta
         "nodes_explored": nodes,
     }
     payload.update(meta or {})
-    # a crash mid-write leaves the previous checkpoint intact
+    # a crash or power loss mid-write leaves the previous checkpoint intact:
+    # the new file is on disk before it replaces the old one, and the
+    # directory is synced so that the replacement is too
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 _CHECKPOINT_FIELDS = {
@@ -313,7 +309,7 @@ def longest_avoiding(
 
     One serial DFS, counting renamed subtrees instead of walking them (see
     the module docstring).  ``max_nodes`` and ``max_seconds`` bound the
-    whole search.  With ``checkpoint_path`` the current path is written
+    whole search; each must be >= 0, and ``max_seconds`` finite.  With ``checkpoint_path`` the current path is written
     every ``checkpoint_every`` nodes and when the budget ends; ``resume``
     continues from that file.
     """
@@ -323,7 +319,12 @@ def longest_avoiding(
         raise ValueError("need checkpoint_every >= 0 (0 writes no periodic checkpoints)")
     if k > len(LETTERS):
         raise ValueError(f"need k <= {len(LETTERS)}: witnesses are rendered one letter per symbol")
-    budget = _Budget(max_nodes, max_seconds)
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError("need max_nodes >= 0")
+    # NaN would switch the time budget off, and neither NaN nor inf is JSON
+    if max_seconds is not None and not 0 <= max_seconds < math.inf:
+        raise ValueError("need max_seconds finite and >= 0")
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     meta = {"mode": mode, "n": n, "k": k}
     tracker = _make_tracker(mode, n, k)
     resume_state = None
@@ -332,10 +333,20 @@ def longest_avoiding(
         for key in ("mode", "n", "k"):
             if resume_state.get(key) != meta[key]:
                 raise ValueError(f"checkpoint {key} mismatch")
+        # the resumed walk reports this witness, so it must really avoid; it
+        # is recorded at node entry, before the checkpoint, so it is no
+        # shorter than the path
+        witness = parse_rendered_word(resume_state["best_witness"])
+        replay = _make_tracker(mode, n, k)
+        if not all(c < k and replay.try_push(c) for c in witness):
+            raise ValueError(f"checkpoint best_witness is not an avoiding word over {k} letters")
+        if resume_state["best_length"] < len(resume_state["path"]):
+            raise ValueError("checkpoint best_length is shorter than its path")
     best_len, best, exhausted, nodes = _depth_first(
         tracker,
         k,
-        budget,
+        max_nodes,
+        deadline,
         resume=resume_state,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
@@ -372,20 +383,7 @@ def match_count_enumerated(n: int, k: int, cap: int = 2_000_000) -> tuple[int, i
     if total > cap:
         raise ResourceLimitError(f"enumerating {total} words exceeds the cap {cap}")
     z = zimin_pattern(n)
-    length = 2**n - 1
-    count = 0
-    word = [0] * length
-    while True:
-        if matches(tuple(word), z) is not None:
-            count += 1
-        i = length - 1
-        while i >= 0 and word[i] == k - 1:
-            word[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        word[i] += 1
-    return count, total
+    return sum(matches(w, z) is not None for w in itertools.product(range(k), repeat=2**n - 1)), total
 
 
 def first_moment_threshold(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
@@ -414,45 +412,35 @@ def counter_witness_bounds(order: int, *, encoded: bool = False, indices=None) -
     """
     if order < 3:
         raise ValueError("the counter bounds are stated for order >= 3")
-    length = counter_length(order)
     t = tau(order - 1)
-    if not encoded:
-        if indices is None:
-            indices = [0]
-        checked = {i: zimin_index(counter(i, order), max_length=None) for i in indices}
-        bound = order - 1
-        report = {
-            "kind": "ranked-counter-bound",
-            "order": order,
-            "alphabet_size": 2 * order - 1,
-            "indices_checked": list(indices),
-            "zimin_indices": checked,
-            "zimin_bound": bound,
-            "counter_length": length,
-            "tower": t,
-            "certifies": f"f({order}, {2 * order - 1}) > {length}",
-            "ok": max(checked.values()) <= bound and length >= t,
-        }
-        return report
-    if indices is None:
-        indices = range(tau(order)) if order <= 3 else range(256)
-    from .coding import encoded_counter
+    if encoded:
+        from .coding import encoded_counter as build
 
+        kind, length_key, default = "encoded", "encoded_length", range(tau(order) if order <= 3 else 256)
+        bound, n, k = order + 1, order + 2, 2
+    else:
+        kind, length_key, build, default = "ranked", "counter_length", counter, [0]
+        bound, n, k = order - 1, order, 2 * order - 1
+    if indices is None:
+        indices = default
     checked = {}
-    enc_len = None
     for i in indices:
-        w = encoded_counter(i, order)
-        enc_len = len(w)
+        w = build(i, order)
         checked[i] = zimin_index(w, max_length=None)
-    bound = order + 1
-    return {
-        "kind": "encoded-counter-bound",
+    top = max(checked.values())  # no index checked is a ValueError here
+    length = len(w)
+    report = {
+        "kind": f"{kind}-counter-bound",
         "order": order,
+        "alphabet_size": k,
         "indices_checked": list(indices),
         "zimin_indices": checked,
         "zimin_bound": bound,
-        "encoded_length": enc_len,
+        length_key: length,
         "tower": t,
-        "certifies": f"f({order + 2}, 2) > {enc_len}",
-        "ok": max(checked.values()) <= bound and enc_len >= t,
+        "certifies": f"f({n}, {k}) > {length}",
+        "ok": top <= bound and length >= t,
     }
+    if encoded:
+        del report["alphabet_size"]  # the binary alphabet is in ``certifies``
+    return report

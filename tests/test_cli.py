@@ -237,6 +237,44 @@ def test_version_1_checkpoint_is_usage_error(tmp_path):
     assert "unsupported checkpoint version 1" in json.loads(out)["error"]
 
 
+def test_tampered_checkpoint_witness_is_usage_error(tmp_path):
+    # a forged witness that encounters Z_3 must not become f: 41, exhausted
+    ck = tmp_path / "run.json"
+    search = ["search", "f", "--n=3", "--k=2", f"--checkpoint={ck}"]
+    assert _run_in_process([*search, "--budget-nodes=500"])[0] == EXIT_RESOURCE
+    data = json.loads(ck.read_text())
+    data.update(best_witness="0" * 40, best_length=40)
+    ck.write_text(json.dumps(data))
+    code, out, err = _run_in_process([*search, "--resume"])
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_USAGE
+    assert "best_witness" in json.loads(out)["error"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("budget", ["--budget-nodes=-5", "--budget-seconds=nan", "--budget-seconds=inf",
+                                    "--budget-seconds=-1"])
+@pytest.mark.parametrize("command", [["search", "f"], ["abelian", "g"]])
+def test_budgets_that_are_not_counts_are_usage_errors(command, budget):
+    code, out, err = _run_in_process([*command, "--n=4", "--k=2", "--budget-nodes=20000", budget])
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_USAGE
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert "max_" in report["error"]
+
+
+def test_pretty_follows_the_parsed_flag():
+    # a word that reads "--pretty" is an argument, not the flag
+    code, out, err = _run_in_process(["zimin", "type", "--", "--pretty"])
+    assert code == EXIT_OK and json.loads(out)["result"] == 1
+    assert err == ""
+    code, out, err = _run_in_process(["--pretty", "zimin", "type", "aba"])
+    assert code == EXIT_OK and err == "result: 2\n"
+
+
 @pytest.mark.parametrize("value", ["1", "1,x", "1,2,3"])
 def test_psi_encode_malformed_counter_is_usage_error(value):
     proc = _cli("psi", "encode", "--counter", value)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import os
 import random
 import shutil
 from fractions import Fraction
@@ -120,7 +121,7 @@ def test_worker_search_from_base_words_matches_plain_preorder(mode, n, k):
             cert = expected[-1 if budget is None else budget - 1]
             tracker = _TRACKERS[mode](n, k)
             assert all(tracker.try_push(c) for c in base)
-            got = search_module._depth_first(tracker, k, search_module._Budget(budget, None))
+            got = search_module._depth_first(tracker, k, budget)
             expected_result = (cert.max_avoiding_length, cert.witness, cert.exhausted, cert.nodes_explored)
             assert got == expected_result, (base, budget)
 
@@ -380,3 +381,63 @@ def test_checkpoint_path_outside_alphabet_rejected(tmp_path):
     ck.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         longest_avoiding(3, 2, checkpoint_path=str(ck), resume=True)
+
+
+def _tampered_checkpoint(tmp_path, **fields):
+    ck = tmp_path / "run.json"
+    longest_avoiding(3, 2, max_nodes=500, checkpoint_path=str(ck))
+    data = json.loads(ck.read_text())
+    data.update(fields)
+    ck.write_text(json.dumps(data))
+    return ck
+
+
+@pytest.mark.parametrize(
+    "witness, length",
+    [
+        ("0" * 40, 40),  # encounters Z_3, so it would certify a false exact f
+        ("0120", 4),  # a letter outside the alphabet
+        ("0", 1),  # shorter than the path the checkpoint was written at
+    ],
+)
+def test_resumed_best_witness_is_rechecked(tmp_path, witness, length):
+    ck = _tampered_checkpoint(tmp_path, best_witness=witness, best_length=length)
+    with pytest.raises(ValueError):
+        longest_avoiding(3, 2, checkpoint_path=str(ck), resume=True)
+
+
+def test_zero_budgets_are_allowed():
+    # negative, NaN and infinite budgets are refused (see test_cli)
+    assert longest_avoiding(3, 2, max_nodes=0).nodes_explored == 1
+    assert isinstance(longest_avoiding(2, 2, max_seconds=0.0), SearchCertificate)
+
+
+def test_checkpoint_is_synced_before_it_replaces_the_old_one(tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        calls.append(("replace", os.path.basename(src)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(os, "replace", record_replace)
+    ck = tmp_path / "run.json"
+    longest_avoiding(3, 2, max_nodes=300, checkpoint_path=str(ck))
+    # the file is synced under its temporary name, then the directory after the rename
+    assert calls == [("fsync", ck.stat().st_ino), ("replace", "run.json.tmp"), ("fsync", tmp_path.stat().st_ino)]
+
+
+def test_budget_inside_a_renamed_copy_stops_at_once_without_a_checkpoint(tmp_path, monkeypatch):
+    # only a checkpointed run walks the copy up to the stop, so that its file names a node
+    pushes = []
+    push = ZiminSuffixTracker.try_push
+    monkeypatch.setattr(ZiminSuffixTracker, "try_push", lambda self, c: pushes.append(c) or push(self, c))
+    plain = longest_avoiding(2, 3, max_nodes=35)
+    unchecked = len(pushes)
+    assert longest_avoiding(2, 3, max_nodes=35, checkpoint_path=str(tmp_path / "run.json")) == plain
+    assert (unchecked, len(pushes) - unchecked) == (41, 62)
