@@ -285,6 +285,17 @@ class _UsageError(Exception):
     pass
 
 
+def _cap(text: str) -> int:
+    """The type of the cap flags: an integer of 0 or more (0 is a cap too)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap is an integer of 0 or more, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Turns a malformed command line into an exception that ``run``
     reports like any other usage error, rather than exiting inside
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "index":
             q.add_argument(
                 "--length-cap",
-                type=int,
+                type=_cap,
                 default=None,
                 help=f"refuse longer words with exit 3 (default {DEFAULT_INDEX_LENGTH_CAP}: "
                 "a periodic word of that length takes about 3 s)",
@@ -327,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("pattern")
     q.add_argument(
         "--pattern-cap",
-        type=int,
+        type=_cap,
         default=None,
         help="refuse patterns with more distinct variables with exit 3 "
         f"(default {DEFAULT_ZIMIN_PATTERN_CAP})",
@@ -340,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--order", type=int, required=True)
     q.add_argument("--index", type=int, required=True)
     q.add_argument("--stream", action="store_true", help="stream symbols, one per line")
-    q.add_argument("--symbol-cap", type=int, default=None)
+    q.add_argument("--symbol-cap", type=_cap, default=None)
     q.set_defaults(handler=_cmd_counters)
     q = csub.add_parser("check")
     q.add_argument("--order", type=int, required=True)
@@ -386,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--enumerate", action="store_true")
-    q.add_argument("--digit-cap", type=int, default=None)
+    q.add_argument("--digit-cap", type=_cap, default=None)
     q.set_defaults(handler=_cmd_moment)
 
     p = sub.add_parser("abelian", help="abelian encounters, g(n,k), bounds")
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = asub.add_parser("bounds")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--digit-cap", type=int, default=None)
+    q.add_argument("--digit-cap", type=_cap, default=None)
     q.set_defaults(handler=_cmd_abelian)
     q = asub.add_parser("oracles")
     q.set_defaults(handler=_cmd_abelian)

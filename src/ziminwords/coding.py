@@ -20,8 +20,7 @@ from typing import Iterable, NamedTuple
 
 from . import automata
 from .automata import Dfa
-from .counters import DEFAULT_SYMBOL_CAP, counter_length, counter_stream
-from .errors import ResourceLimitError
+from .counters import DEFAULT_SYMBOL_CAP, check_symbol_cap, counter_stream
 from .words import RankedSymbol, RankedWord, occurrences
 
 # Thresholds from the definition of a simple word.
@@ -47,10 +46,7 @@ def psi(w: Iterable[RankedSymbol]) -> str:
 
 def encoded_counter(index: int, order: int, symbol_cap: int | None = DEFAULT_SYMBOL_CAP) -> str:
     """psi(C_index^order), built from the counter stream."""
-    if symbol_cap is not None and counter_length(order) > symbol_cap:
-        raise ResourceLimitError(
-            f"order-{order} counters have {counter_length(order)} symbols, over the cap {symbol_cap}"
-        )
+    check_symbol_cap(order, symbol_cap)
     return psi(counter_stream(index, order))
 
 

@@ -98,13 +98,17 @@ def _from_template(index: int, order: int) -> tuple[RankedSymbol, ...]:
     return tuple(out)
 
 
+def check_symbol_cap(order: int, symbol_cap: int | None) -> None:
+    """Refuse order-n counters longer than symbol_cap (None: no cap).  The
+    message leaves the length out: L_6 has more digits than str() prints."""
+    if symbol_cap is not None and counter_length(order) > symbol_cap:
+        raise ResourceLimitError(f"order-{order} counters are longer than the cap of {symbol_cap} symbols")
+
+
 def counter(index: int, order: int, symbol_cap: int | None = DEFAULT_SYMBOL_CAP) -> RankedWord:
     """Materialise the counter C_index^order as a RankedWord."""
     _check_id(index, order)
-    if symbol_cap is not None and counter_length(order) > symbol_cap:
-        raise ResourceLimitError(
-            f"order-{order} counters have {counter_length(order)} symbols, over the cap {symbol_cap}"
-        )
+    check_symbol_cap(order, symbol_cap)
     return RankedWord(chain.from_iterable(_chunks(index, order)))
 
 

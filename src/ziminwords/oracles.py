@@ -9,6 +9,7 @@ Zimin-word test of unavoidability uses ``encounters`` and
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 from .zimin import Pattern, encounters, zimin_pattern
@@ -47,6 +48,32 @@ def zimin_index_enumerated(w: Sequence) -> int:
             if t > best:
                 best = t
     return best
+
+
+def matches_by_lengths(w: Sequence, p: Pattern) -> dict | None:
+    """The first non-erasing assignment whose image of p is w, or None.
+
+    The image lengths of the distinct variables, taken in order of first
+    occurrence, are tried as tuples in lexicographic order.  A variable
+    occurring c times in p gets at most (|w| - |p| + c) // c letters, so
+    that the other positions keep one letter each; the first tuple whose
+    images, cut from w left to right, agree at every occurrence wins."""
+    order = list(dict.fromkeys(p))
+    counts = [list(p).count(v) for v in order]
+    ranges = [range(1, (len(w) - len(p) + c) // c + 1) for c in counts]
+    for lengths in product(*ranges):
+        size = dict(zip(order, lengths))
+        assignment: dict = {}
+        i = 0
+        for v in p:
+            image = w[i : i + size[v]]
+            if len(image) < size[v] or assignment.setdefault(v, image) != image:
+                break
+            i += size[v]
+        else:
+            if i == len(w):
+                return assignment
+    return None
 
 
 # ---------------------------------------------------------------------------

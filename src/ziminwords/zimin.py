@@ -4,7 +4,9 @@ The n-th Zimin pattern is Z_1 = x1, Z_{n+1} = Z_n x_{n+1} Z_n.  A word w
 *matches* a pattern when substituting every variable by some non-empty word
 yields w; it *encounters* the pattern when some infix matches it.  The Zimin
 type of w is the largest n with w matching Z_n; the Zimin index is the
-maximum type over all infixes.  A pattern with n distinct variables is
+maximum type over all infixes.  ``matches`` and ``encounters`` give ``re``
+the pattern with a lazy group at each variable's first occurrence and a
+back-reference at the others.  A pattern with n distinct variables is
 unavoidable exactly when Z_n (read as a word over its variables)
 encounters it; ``is_unavoidable`` decides it by free-letter deletions
 instead, without building Z_n.
@@ -17,6 +19,7 @@ a word as each letter is appended and drives ``zimin_index`` and the search.
 from __future__ import annotations
 
 import functools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -30,6 +33,7 @@ DEFAULT_ZIMIN_PATTERN_CAP = 25
 DEFAULT_INDEX_LENGTH_CAP = 4_000
 
 
+@dataclass(frozen=True, slots=True)
 class Pattern:
     """A pattern: a non-empty-or-empty word over variable indices x1, x2, ...
 
@@ -38,16 +42,13 @@ class Pattern:
     distinct letter names a variable.
     """
 
-    __slots__ = ("variables",)
+    variables: tuple[int, ...]
 
     def __init__(self, variables):
         vs = tuple(int(v) for v in variables)
         if any(v < 1 for v in vs):
             raise ValueError("variable indices must be positive")
         object.__setattr__(self, "variables", vs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Pattern is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
@@ -74,14 +75,6 @@ class Pattern:
 
     def __iter__(self):
         return iter(self.variables)
-
-    def __eq__(self, other):
-        if isinstance(other, Pattern):
-            return self.variables == other.variables
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.variables)
 
     def __repr__(self):
         return f"Pattern({str(self)!r})"
@@ -251,56 +244,39 @@ def zimin_index(w: Sequence, max_length: Optional[int] = DEFAULT_INDEX_LENGTH_CA
     return best
 
 
+def _regex(p: Pattern) -> re.Pattern:
+    """p as a regex: a lazy group ``(?P<xv>.+?)`` at the first occurrence of
+    each variable v and a back-reference ``(?P=xv)`` at the others.  Named
+    groups, because a numbered reference such as ``\\100`` reads as octal."""
+    if len(p) == 0:
+        raise ValueError("pattern must be non-empty")
+    parts, seen = [], set()
+    for v in p:
+        parts.append(f"(?P=x{v})" if v in seen else f"(?P<x{v}>.+?)")
+        seen.add(v)
+    return re.compile("".join(parts), re.DOTALL)
+
+
+def _text(w: Sequence) -> str:
+    # a str as it is, any other sequence as one character per distinct letter
+    return w if isinstance(w, str) else "".join(map(chr, _canon(w)))
+
+
+def _witness(w: Sequence, m: re.Match) -> MorphismWitness:
+    # the images are sliced from w, so they keep its type
+    return MorphismWitness({int(x[1:]): w[m.start(x) : m.end(x)] for x in m.re.groupindex})
+
+
 def matches(w: Sequence, p: Pattern) -> Optional[MorphismWitness]:
     """A non-erasing substitution whose image of p is exactly w, or None.
 
-    Deterministic search order: variables are bound at their leftmost
-    occurrence, shorter images tried first; the first witness found under
-    this order is returned.
+    Deterministic search order: the witness returned has the least tuple of
+    image lengths (variables in order of first occurrence).  The regex
+    engine binds variables leftmost first, tries shorter images first (the
+    groups are lazy) and backtracks into the latest choice.
     """
-    pat = tuple(p)
-    if not pat:
-        raise ValueError("pattern must be non-empty")
-    n = len(w)
-    m = len(pat)
-    if n < m:
-        return None
-    assign: dict = {}  # var -> (start, length) into w
-    # per bound variable: (first position in p, start, length, longest fit)
-    frames: list[tuple[int, int, int, int]] = []
-    i = j = 0
-    while j < m or i < n:
-        v = pat[j] if j < m else None
-        got = assign.get(v)
-        if got is not None:
-            s0, li = got
-            if i + li <= n and w[i : i + li] == w[s0 : s0 + li]:
-                i += li
-                j += 1
-                continue
-        elif v is not None:
-            later_same = rem_min = 0
-            for u in pat[j + 1 :]:
-                if u in assign:
-                    rem_min += assign[u][1]
-                elif u == v:
-                    later_same += 1
-                else:
-                    rem_min += 1
-            frames.append((j, i, 0, (n - i - rem_min) // (1 + later_same)))
-        # lengthen the image of the latest variable that can grow
-        while frames:
-            j, i, li, max_len = frames.pop()
-            if li < max_len:
-                assign[pat[j]] = (i, li + 1)
-                frames.append((j, i, li + 1, max_len))
-                i += li + 1
-                j += 1
-                break
-            assign.pop(pat[j], None)
-        else:
-            return None
-    return MorphismWitness({v: w[s0 : s0 + li] for v, (s0, li) in assign.items()})
+    m = _regex(p).fullmatch(_text(w))
+    return None if m is None else _witness(w, m)
 
 
 def encounters(w: Sequence, p: Pattern) -> Optional[tuple[int, MorphismWitness]]:
@@ -308,14 +284,12 @@ def encounters(w: Sequence, p: Pattern) -> Optional[tuple[int, MorphismWitness]]
 
     Scans offsets ascending and, per offset, infix lengths ascending.
     """
-    if len(p) == 0:
-        raise ValueError("pattern must be non-empty")
-    n = len(w)
-    for m in range(n - len(p) + 1):
-        for end in range(m + len(p), n + 1):
-            got = matches(w[m:end], p)
-            if got is not None:
-                return m, got
+    rx, text = _regex(p), _text(w)
+    for s in range(len(w) - len(p) + 1):
+        for e in range(s + len(p), len(w) + 1):
+            m = rx.fullmatch(text, s, e)
+            if m is not None:
+                return s, _witness(w, m)
     return None
 
 

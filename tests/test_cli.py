@@ -88,6 +88,35 @@ def test_cap_of_zero_is_honoured(argv):
     assert code == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zimin", "index", "abc", "--length-cap", "-1"],
+        ["zimin", "unavoidable", "xyx", "--pattern-cap", "-1"],
+        ["counters", "make", "--order", "2", "--index", "0", "--symbol-cap", "-1"],
+        ["search", "moment", "--n", "3", "--k", "2", "--digit-cap", "-1"],
+        ["abelian", "bounds", "--n", "3", "--k", "2", "--digit-cap", "-1"],
+    ],
+)
+def test_negative_cap_is_usage_error(argv):
+    code, out, err = _run_in_process(argv)
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_USAGE
+    assert "a cap is an integer of 0 or more, got '-1'" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "bounds", "--order", "6", "--encoded", "--indices", "1"], ["psi", "encode", "--counter", "0,6"]],
+)
+def test_order_6_counters_are_over_the_symbol_cap(argv):
+    # L_6 has more than 4,300 digits: the message names the order and the cap
+    code, out, err = _run_in_process(argv)
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_RESOURCE
+    assert json.loads(out)["error"] == "order-6 counters are longer than the cap of 10000000 symbols"
+
+
 def test_search_f_small(capsys):
     code, report = invoke(["search", "f", "--n", "2", "--k", "2"], capsys)
     assert code == EXIT_OK
