@@ -220,9 +220,7 @@ def _cmd_search(args):
         args.k,
         max_nodes=args.budget_nodes,
         max_seconds=args.budget_seconds,
-        mode="zimin-oracle" if args.oracle else "zimin",
         checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
         resume=args.resume,
     )
     return _certificate_report(cert, "f")
@@ -384,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--budget-nodes", type=int, default=None)
     q.add_argument("--budget-seconds", type=float, default=None)
     q.add_argument("--checkpoint", default=None)
-    q.add_argument("--checkpoint-every", type=int, default=100_000)
     q.add_argument("--resume", action="store_true")
-    q.add_argument("--oracle", action="store_true", help="type every suffix with the naive oracle at every node")
     q.set_defaults(handler=_cmd_search)
     q = ssub.add_parser("bounds", help="counter-based lower-bound certificates")
     q.add_argument("--order", type=int, required=True)

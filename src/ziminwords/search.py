@@ -48,7 +48,8 @@ from .oracles import zimin_type_recursive
 from .words import DEFAULT_DIGIT_CAP, guarded_power, tau
 from .zimin import ZiminSuffixTracker, matches, zimin_index, zimin_pattern
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+CHECKPOINT_EVERY = 100_000
 LETTERS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
@@ -123,9 +124,7 @@ def _make_tracker(mode: str, n: int, k: int):
     raise ValueError(f"unknown tracker mode {mode!r}")
 
 
-def _depth_first(
-    tracker, k, max_nodes, deadline=None, *, resume=None, checkpoint_path=None, checkpoint_every=None, meta=None
-):
+def _depth_first(tracker, k, max_nodes, deadline=None, *, resume=None, checkpoint_path=None, meta=None):
     """Letters-ascending DFS over the avoiding tree rooted at tracker.word,
     counting the renamed copies of subtrees instead of walking them (see
     the module docstring).
@@ -133,13 +132,14 @@ def _depth_first(
     Returns (best_length, best_word, exhausted, nodes), with best_word
     rendered and the node count including tracker.word itself.  The walk
     may start from a non-empty ``tracker.word``: any avoiding word, not
-    only a canonical one.  Checkpoints record the current path at node
-    entry with the skip state of every node on it, so a resumed run
-    continues exactly where the file says.  Skips jump over node counts, so
-    a periodic checkpoint is written at the first entry at or past each
-    multiple of ``checkpoint_every``; and when a checkpointed search's
-    budget ends inside a renamed copy, the copy is walked up to the stop,
-    so that the file names a node.
+    only a canonical one.  The budget stops the walk at a node entry, or
+    at a renamed copy whose count would reach ``max_nodes``; the walk
+    through that copy would stop at max_nodes, so that is the count
+    reported.  Checkpoints record the current path with the skip state of
+    every node on it, the deepest node's next letter and its skip, so a
+    resumed run continues exactly where the file says, at the copy letter
+    too.  Skips jump over node counts, so a periodic checkpoint is written
+    at the first entry at or past each multiple of ``CHECKPOINT_EVERY``.
     """
     base_depth = len(tracker.word)
     best_len = base_depth
@@ -174,12 +174,12 @@ def _depth_first(
         best = parse_rendered_word(resume["best_witness"])
         nodes = resume["nodes_explored"]
     u = (absent & -absent).bit_length() - 1
-    every = checkpoint_every if checkpoint_path else 0
-    next_checkpoint = -(-nodes // every) * every if every else 0
-    cur = 0
-    skip = 0
+    cur, skip = (0, 0) if resume is None else (resume["next_letter"], resume["skip"])
+    every = CHECKPOINT_EVERY if checkpoint_path else 0
+    next_checkpoint = (nodes // every + 1) * every if every else 0
     entered = True
-    exhausted = True
+    exhausted = False
+    in_copy = False
     while True:
         if entered:
             entered = False
@@ -190,15 +190,13 @@ def _depth_first(
             if (max_nodes is not None and nodes >= max_nodes) or (
                 deadline is not None and time.monotonic() > deadline
             ):
-                exhausted = False
-                if checkpoint_path:
-                    _write_checkpoint(checkpoint_path, tracker, pending, saved, best_len, best, nodes, meta)
                 break
             if every and nodes >= next_checkpoint:
-                _write_checkpoint(checkpoint_path, tracker, pending, saved, best_len, best, nodes, meta)
+                _write_checkpoint(checkpoint_path, tracker, pending, saved, cur, skip, best_len, best, nodes, meta)
                 next_checkpoint = (nodes // every + 1) * every
         if cur >= k:
             if not pending:
+                exhausted = True
                 break
             tracker.pop()
             cur = pending.pop()
@@ -209,17 +207,15 @@ def _depth_first(
                     skip += nodes
             continue
         c = cur
-        cur += 1
         if c > u and absent >> c & 1:
             # the subtree of w·c is that of w·u with u and c swapped
-            if max_nodes is None or nodes + skip < max_nodes:
-                nodes += skip
-                continue
-            if not checkpoint_path:
-                # the full walk would stop inside the copy, at max_nodes
-                nodes = max_nodes
-                exhausted = False
+            if max_nodes is not None and nodes + skip >= max_nodes:
+                in_copy = True
                 break
+            nodes += skip
+            cur += 1
+            continue
+        cur += 1
         if tracker.try_push(c):
             if u < k:
                 pending.append(~cur)
@@ -233,15 +229,19 @@ def _depth_first(
             cur = 0
             skip = 0
             entered = True
-    return best_len, render_word(best), exhausted, nodes
+    if checkpoint_path and not exhausted:
+        _write_checkpoint(checkpoint_path, tracker, pending, saved, cur, skip, best_len, best, nodes, meta)
+    return best_len, render_word(best), exhausted, max_nodes if in_copy else nodes
 
 
-def _write_checkpoint(path, tracker, pending, saved, best_len, best, nodes, meta):
+def _write_checkpoint(path, tracker, pending, saved, cur, skip, best_len, best, nodes, meta):
     states = iter(saved)
     payload = {
         "version": CHECKPOINT_VERSION,
         "path": render_word(tracker.word),
-        "skip_state": [next(states)[1] if cur < 0 else 0 for cur in pending],
+        "skip_state": [next(states)[1] if c < 0 else 0 for c in pending],
+        "next_letter": cur,
+        "skip": skip,
         "best_length": best_len,
         "best_witness": render_word(best),
         "nodes_explored": nodes,
@@ -267,6 +267,8 @@ def _write_checkpoint(path, tracker, pending, saved, best_len, best, nodes, meta
 _CHECKPOINT_FIELDS = {
     "path": str,
     "skip_state": list,
+    "next_letter": int,
+    "skip": int,
     "best_length": int,
     "best_witness": str,
     "nodes_explored": int,
@@ -291,6 +293,8 @@ def load_checkpoint(path) -> dict:
         isinstance(s, int) and not isinstance(s, bool) and -nodes <= s <= nodes for s in skips
     ):
         raise ValueError("checkpoint skip_state is not one signed node count per path letter")
+    if data["next_letter"] < 0 or not 0 <= data["skip"] <= nodes:
+        raise ValueError("checkpoint next_letter or skip is negative, or skip exceeds nodes_explored")
     return data
 
 
@@ -302,21 +306,22 @@ def longest_avoiding(
     max_seconds: Optional[float] = None,
     mode: str = "zimin",
     checkpoint_path=None,
-    checkpoint_every: Optional[int] = 100_000,
     resume: bool = False,
 ) -> SearchCertificate:
     """Explore the Z_n-avoiding prefix tree over [k] exhaustively.
 
     One serial DFS, counting renamed subtrees instead of walking them (see
     the module docstring).  ``max_nodes`` and ``max_seconds`` bound the
-    whole search; each must be >= 0, and ``max_seconds`` finite.  With ``checkpoint_path`` the current path is written
-    every ``checkpoint_every`` nodes and when the budget ends; ``resume``
-    continues from that file.
+    whole search; each must be >= 0, and ``max_seconds`` finite.  A
+    checkpointed run stops where a plain one does.  With
+    ``checkpoint_path`` the search state is written every
+    ``CHECKPOINT_EVERY`` nodes and when the budget ends; ``resume``
+    continues from that file, which it needs.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    if checkpoint_every is not None and checkpoint_every < 0:
-        raise ValueError("need checkpoint_every >= 0 (0 writes no periodic checkpoints)")
+    if resume and not checkpoint_path:
+        raise ValueError("resuming needs a checkpoint path")
     if k > len(LETTERS):
         raise ValueError(f"need k <= {len(LETTERS)}: witnesses are rendered one letter per symbol")
     if max_nodes is not None and max_nodes < 0:
@@ -342,6 +347,8 @@ def longest_avoiding(
             raise ValueError(f"checkpoint best_witness is not an avoiding word over {k} letters")
         if resume_state["best_length"] < len(resume_state["path"]):
             raise ValueError("checkpoint best_length is shorter than its path")
+        if resume_state["next_letter"] >= k:
+            raise ValueError(f"checkpoint next_letter is not one of {k} letters")
     best_len, best, exhausted, nodes = _depth_first(
         tracker,
         k,
@@ -349,7 +356,6 @@ def longest_avoiding(
         deadline,
         resume=resume_state,
         checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
         meta=meta,
     )
     return SearchCertificate(n, k, best_len, best, exhausted, nodes)

@@ -124,12 +124,11 @@ def test_search_f_small(capsys):
     assert report["certificate"]["witness"] == "0011"
     assert report["certificate"]["exhausted"] is True
     assert list(report["inputs"]) == [
-        "budget_nodes", "budget_seconds", "checkpoint", "checkpoint_every", "cmd", "k", "n", "oracle", "resume",
-        "search_cmd",
+        "budget_nodes", "budget_seconds", "checkpoint", "cmd", "k", "n", "resume", "search_cmd",
     ]
 
 
-@pytest.mark.parametrize("flag", ["--parallel", "--split-depth"])
+@pytest.mark.parametrize("flag", ["--parallel", "--split-depth", "--checkpoint-every", "--oracle"])
 def test_search_f_has_one_serial_path(flag):
     code, out, err = _run_in_process(["search", "f", "--n", "2", "--k", "2", flag, "2"])
     _assert_one_json_line(code, out, err)
@@ -252,18 +251,28 @@ def test_resume_from_checkpoint_without_path_is_usage_error(tmp_path):
     assert "'path'" in json.loads(proc.stdout)["error"]
 
 
-def test_version_1_checkpoint_is_usage_error(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_checkpoint_versions_are_usage_errors(tmp_path, version):
     ck = tmp_path / "run.json"
     search = ["search", "f", "--n=3", "--k=2", f"--checkpoint={ck}"]
     assert _run_in_process([*search, "--budget-nodes=200"])[0] == EXIT_RESOURCE
     data = json.loads(ck.read_text())
-    data["version"] = 1  # version 1 had no skip_state
-    del data["skip_state"]
+    data["version"] = version
+    # version 1 had no skip_state, and neither version had next_letter or skip
+    for key in ("skip_state", "next_letter", "skip")[version - 1 :]:
+        del data[key]
     ck.write_text(json.dumps(data))
     code, out, err = _run_in_process([*search, "--resume"])
     _assert_one_json_line(code, out, err)
     assert code == EXIT_USAGE
-    assert "unsupported checkpoint version 1" in json.loads(out)["error"]
+    assert f"unsupported checkpoint version {version}" in json.loads(out)["error"]
+
+
+def test_resume_without_a_checkpoint_is_usage_error():
+    code, out, err = _run_in_process(["search", "f", "--n", "3", "--k", "2", "--resume"])
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_USAGE
+    assert json.loads(out)["error"] == "resuming needs a checkpoint path"
 
 
 def test_tampered_checkpoint_witness_is_usage_error(tmp_path):

@@ -220,11 +220,6 @@ def test_checkpoint_resume_roundtrip(tmp_path):
     assert resumed == target
 
 
-def test_negative_checkpoint_interval_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        longest_avoiding(2, 2, checkpoint_path=str(tmp_path / "x.json"), checkpoint_every=-1)
-
-
 def test_certificate_json_roundtrip():
     cert = longest_avoiding(2, 2)
     data = json.loads(json.dumps(cert.to_json()))
@@ -304,15 +299,26 @@ def test_checkpoint_survives_crash_mid_write(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("mode, n, k", [("zimin", 2, 3), ("abelian", 2, 3)])
-def test_checkpoint_resumes_at_every_budget(tmp_path, mode, n, k):
+def test_checkpoint_resumes_at_every_budget(tmp_path, monkeypatch, mode, n, k):
     # with k = 3, renamed copies are counted below the root too, so budgets
-    # end inside them, where the checkpointed search walks to the stop
+    # end inside them, where every search stops at once and the file names
+    # the copy's letter with the count before it
     target = longest_avoiding(n, k, mode=mode)
     ck = tmp_path / "run.json"
+    tracker = _TRACKERS[mode]
+    pushes = []
+    push = tracker.try_push
+    monkeypatch.setattr(tracker, "try_push", lambda self, c: pushes.append(c) or push(self, c))
     for budget in range(1, target.nodes_explored + 1):
+        pushes.clear()
+        plain = longest_avoiding(n, k, mode=mode, max_nodes=budget)
+        unchecked = len(pushes)
         stopped = longest_avoiding(n, k, mode=mode, max_nodes=budget, checkpoint_path=str(ck))
-        assert stopped == longest_avoiding(n, k, mode=mode, max_nodes=budget)
-        assert load_checkpoint(ck)["nodes_explored"] == budget
+        assert stopped == plain
+        assert len(pushes) - unchecked == unchecked, budget
+        assert load_checkpoint(ck)["nodes_explored"] <= budget
+        resumed = longest_avoiding(n, k, mode=mode, max_nodes=budget, checkpoint_path=str(ck), resume=True)
+        assert resumed == stopped, budget
         assert longest_avoiding(n, k, mode=mode, checkpoint_path=str(ck), resume=True) == target, budget
         if budget % 9 == 0:
             later = budget + 31
@@ -321,7 +327,7 @@ def test_checkpoint_resumes_at_every_budget(tmp_path, mode, n, k):
 
 
 def test_periodic_checkpoints_pass_every_multiple(tmp_path, monkeypatch):
-    # renamed copies jump over node counts; each multiple of checkpoint_every
+    # renamed copies jump over node counts; each multiple of CHECKPOINT_EVERY
     # is checkpointed at the first node entered at or past it
     target = longest_avoiding(2, 4)
     ck = tmp_path / "run.json"
@@ -333,7 +339,8 @@ def test_periodic_checkpoints_pass_every_multiple(tmp_path, monkeypatch):
         copies.append(shutil.copy(path, tmp_path / f"copy{len(copies)}.json"))
 
     monkeypatch.setattr(search_module, "_write_checkpoint", keep)
-    assert longest_avoiding(2, 4, checkpoint_path=str(ck), checkpoint_every=10) == target
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 10)
+    assert longest_avoiding(2, 4, checkpoint_path=str(ck)) == target
     counts = [load_checkpoint(c)["nodes_explored"] for c in copies]
     assert counts == [10, 20, 82, 96, 100]  # counted copies jump from below 30 to 82
     monkeypatch.undo()
@@ -341,11 +348,29 @@ def test_periodic_checkpoints_pass_every_multiple(tmp_path, monkeypatch):
         assert longest_avoiding(2, 4, checkpoint_path=str(copy), resume=True) == target
 
 
+def test_resume_writes_no_checkpoint_it_was_read_from(tmp_path, monkeypatch):
+    ck = tmp_path / "run.json"
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 10)
+    longest_avoiding(2, 4, max_nodes=20, checkpoint_path=str(ck))
+    write = search_module._write_checkpoint
+    counts = []
+
+    def keep(path, *args):
+        counts.append(args[-2])
+        write(path, *args)
+
+    monkeypatch.setattr(search_module, "_write_checkpoint", keep)
+    longest_avoiding(2, 4, max_nodes=25, checkpoint_path=str(ck), resume=True)
+    assert counts == [23]  # the stop before a renamed copy, not the node 20 it resumed at
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("path", None), ("best_length", None), ("best_witness", None), ("nodes_explored", None),
      ("path", 7), ("best_length", "12"), ("best_witness", 0), ("nodes_explored", True),
-     ("best_length", 3), ("skip_state", None), ("skip_state", 0), ("skip_state", [])],
+     ("best_length", 3), ("skip_state", None), ("skip_state", 0), ("skip_state", []),
+     ("next_letter", None), ("next_letter", "0"), ("next_letter", -1),
+     ("skip", None), ("skip", False), ("skip", -1)],
 )
 def test_checkpoint_schema_validated(tmp_path, field, value):
     ck = tmp_path / "run.json"
@@ -380,6 +405,12 @@ def test_checkpoint_path_outside_alphabet_rejected(tmp_path):
     data["path"] = "0120"
     ck.write_text(json.dumps(data))
     with pytest.raises(ValueError):
+        longest_avoiding(3, 2, checkpoint_path=str(ck), resume=True)
+
+
+def test_checkpoint_next_letter_outside_alphabet_rejected(tmp_path):
+    ck = _tampered_checkpoint(tmp_path, next_letter=2)
+    with pytest.raises(ValueError, match="next_letter"):
         longest_avoiding(3, 2, checkpoint_path=str(ck), resume=True)
 
 
@@ -433,11 +464,11 @@ def test_checkpoint_is_synced_before_it_replaces_the_old_one(tmp_path, monkeypat
 
 
 def test_budget_inside_a_renamed_copy_stops_at_once_without_a_checkpoint(tmp_path, monkeypatch):
-    # only a checkpointed run walks the copy up to the stop, so that its file names a node
+    # a checkpointed run stops there too: its file names the copy's letter
     pushes = []
     push = ZiminSuffixTracker.try_push
     monkeypatch.setattr(ZiminSuffixTracker, "try_push", lambda self, c: pushes.append(c) or push(self, c))
     plain = longest_avoiding(2, 3, max_nodes=35)
     unchecked = len(pushes)
     assert longest_avoiding(2, 3, max_nodes=35, checkpoint_path=str(tmp_path / "run.json")) == plain
-    assert (unchecked, len(pushes) - unchecked) == (41, 62)
+    assert (unchecked, len(pushes) - unchecked) == (41, 41)
