@@ -143,7 +143,8 @@ def _depth_first(tracker, k, max_nodes, deadline=None, *, resume=None, checkpoin
     """
     base_depth = len(tracker.word)
     best_len = base_depth
-    best = tracker.word[:]
+    # None: the best word is tracker.word, copied at the first pop from it
+    best = None
     nodes = 1
     # A node's state: the next letter to try; ``absent``, the bitmask of the
     # letters absent from its word plus bit k, so that u, its lowest bit, is
@@ -186,18 +187,22 @@ def _depth_first(tracker, k, max_nodes, deadline=None, *, resume=None, checkpoin
             depth = len(tracker.word)
             if depth > best_len:
                 best_len = depth
-                best = tracker.word[:]
+                best = None
             if (max_nodes is not None and nodes >= max_nodes) or (
                 deadline is not None and time.monotonic() > deadline
             ):
                 break
             if every and nodes >= next_checkpoint:
+                if best is None:
+                    best = tracker.word[:]
                 _write_checkpoint(checkpoint_path, tracker, pending, saved, cur, skip, best_len, best, nodes, meta)
                 next_checkpoint = (nodes // every + 1) * every
         if cur >= k:
             if not pending:
                 exhausted = True
                 break
+            if best is None:
+                best = tracker.word[:]
             tracker.pop()
             cur = pending.pop()
             if cur < 0:
@@ -229,6 +234,8 @@ def _depth_first(tracker, k, max_nodes, deadline=None, *, resume=None, checkpoin
             cur = 0
             skip = 0
             entered = True
+    if best is None:
+        best = tracker.word[:]
     if checkpoint_path and not exhausted:
         _write_checkpoint(checkpoint_path, tracker, pending, saved, cur, skip, best_len, best, nodes, meta)
     return best_len, render_word(best), exhausted, max_nodes if in_copy else nodes

@@ -29,7 +29,8 @@ from .errors import ResourceLimitError
 # most distinct variables of a pattern for is_unavoidable, and most n for
 # zimin_pattern(n), which has 2^n - 1 positions
 DEFAULT_ZIMIN_PATTERN_CAP = 25
-# zimin_index costs about |w|^2 steps on periodic words: a^4000 takes 3 s
+# zimin_index costs about |w|^2 steps on periodic words, all in the typing
+# pass: a^4000 takes about 1.4 s
 DEFAULT_INDEX_LENGTH_CAP = 4_000
 
 
@@ -124,18 +125,29 @@ def _canon(w: Sequence) -> list[int]:
 class ZiminSuffixTracker:
     """Incremental check: would appending a letter close a Z_n encounter?
 
-    State: the word, per letter the bitset of its positions counted from
-    the end (bit j marks word[len - 1 - j]), and ``top``, the highest Zimin
-    type among the suffixes of the word.
+    State: the word, ``top``, the highest Zimin type among the suffixes of
+    the word, and the suffix automaton of the word (Blumer et al. 1985),
+    whose states keep ``len``, the suffix ``link`` and ``first``, the
+    earliest end of their strings.  Transitions are one column per letter,
+    -1 for none.  State 0 is a bottom state of length -1 whose every
+    transition leads to the root, state 1, so neither walk below needs a
+    case for the root.
 
     A suffix u of w·c has type 1 + max type(a) over its borders a with
     2|a| < |u|, and such an a is a suffix a_b of w·c with an earlier copy
     ending at least one letter before a_b starts.  Let B be the longest
     such b (every shorter one qualifies too): the highest type among the
     suffixes of w·c is 1 + max type(a_b) over b <= B, or 1 when B = 0.  A
-    push finds B with one bitset AND and one bit test per length, then
-    types every a_b in one pass over the reverse of a_B (a word and its
-    reverse have the same type), memoized for short a_B: about B steps.
+    push follows links from the last state to the first state p with a
+    c-transition, to q; a_b with b <= len(p) + 1 lies in q or below it on
+    q's links, and qualifies when b <= |w| - 1 - first.  Then one pass over
+    the reverse of a_B (a word and its reverse have the same type) types
+    every a_b, memoized for short a_B: about B steps.
+
+    Only an accepted push extends the automaton, with the p it found, and
+    saves (top, last state, q if q was cloned else 0) for ``pop``, which
+    undoes the new transitions and the clone.  State slots only grow, and
+    a slot past the live count keeps every transition at -1.
     """
 
     def __init__(self, n: int, k: int):
@@ -145,38 +157,93 @@ class ZiminSuffixTracker:
         self.k = k
         self.word: list[int] = []
         self.top = 0
-        self._tops: list[int] = []  # top before each push, for pop
-        self._letter_pos = [0] * k
+        self._len = [-1, 0]
+        self._link = [-1, 0]
+        self._first = [-1, -1]
+        self._next = [[1, -1] for _ in range(k)]
+        self._last = 1
+        self._size = 2  # live states
+        self._undo: list[tuple[int, int, int]] = []
 
     def try_push(self, c: int) -> bool:
         """Append c unless it creates a suffix of type >= n; report success."""
         word = self.word
-        pos = self._letter_pos
-        # bit j of ends: a copy of the length-(b+1) suffix of w·c ending at
-        # len(word) - 1 - j; it clears that suffix when j > b
-        ends = pos[c]
-        b = 0
-        while ends.bit_length() > b + 1:
-            b += 1
-            ends &= pos[word[-b]] >> b
+        m = len(word)
+        length = self._len
+        link = self._link
+        first = self._first
+        col = self._next[c]
+        last = p = self._last
+        while col[p] < 0:
+            p = link[p]
+        t = q = col[p]
+        b = m - 1 - first[q]
+        if b > length[p]:
+            b = length[p] + 1
+        while b <= length[link[t]]:
+            t = link[t]
+            b = m - 1 - first[t]
+            if b > length[t]:
+                b = length[t]
         # the reversed a_b are the prefixes of the reversed a_B
-        v = (c, *word[: len(word) - b : -1]) if b else ()
+        v = (c, *word[: m - b : -1]) if b else ()
         top = _short_top(v) if b <= _SHORT else 1 + max(_prefix_types(v))
         if top >= self.n:
             return False
         word.append(c)
-        for x in range(self.k):
-            pos[x] <<= 1
-        pos[c] |= 1
-        self._tops.append(self.top)
+        cur = self._size
+        if cur + 1 >= len(length):
+            # room for cur and a clone; a new slot has no transitions
+            for column in (length, link, first, *self._next):
+                column += [-1] * len(column)
+        length[cur] = m + 1
+        first[cur] = m
+        s = last
+        while s != p:
+            col[s] = cur
+            s = link[s]
+        if length[p] + 1 == length[q]:
+            link[cur] = q
+            self._size = cur + 1
+            self._undo.append((self.top, last, 0))
+        else:
+            # q's strings up to len(p) + 1 move to a clone
+            clone = cur + 1
+            length[clone] = length[p] + 1
+            first[clone] = first[q]
+            link[clone] = link[q]
+            for column in self._next:
+                column[clone] = column[q]
+            while col[s] == q:
+                col[s] = clone
+                s = link[s]
+            link[q] = link[cur] = clone
+            self._size = cur + 2
+            self._undo.append((self.top, last, q))
+        self._last = cur
         self.top = top
         return True
 
     def pop(self):
-        self.word.pop()
-        for x in range(self.k):
-            self._letter_pos[x] >>= 1
-        self.top = self._tops.pop()
+        self.top, last, q = self._undo.pop()
+        col = self._next[self.word.pop()]
+        link = self._link
+        cur = self._last
+        self._last = last
+        self._size = cur
+        clone = cur + 1
+        if q:
+            link[q] = link[clone]
+        s = last
+        while col[s] == cur:
+            col[s] = -1
+            s = link[s]
+        if q:
+            while col[s] == clone:
+                col[s] = q
+                s = link[s]
+            for column in self._next:
+                column[clone] = -1
 
 
 # bound once: code that wraps the search's tracker methods must not see this
@@ -267,27 +334,51 @@ def _witness(w: Sequence, m: re.Match) -> MorphismWitness:
     return MorphismWitness({int(x[1:]): w[m.start(x) : m.end(x)] for x in m.re.groupindex})
 
 
+def _lengths(p: Pattern, limit: int) -> int:
+    """Bit t set for each t <= limit that an image of p can have: t is
+    the sum of c_v * l_v over the variables v of p, with c_v the
+    occurrences of v and every image length l_v >= 1.  A coin dynamic
+    program over the distinct counts, doubling each coin's multiples."""
+    spare = limit - len(p)  # what the images may add beyond one letter each
+    if spare < 0:
+        return 0
+    reach, mask = 1, (2 << spare) - 1
+    for coin in set(Counter(p).values()):
+        while coin <= spare:
+            reach |= (reach << coin) & mask
+            coin *= 2
+    return reach << len(p)
+
+
 def matches(w: Sequence, p: Pattern) -> Optional[MorphismWitness]:
     """A non-erasing substitution whose image of p is exactly w, or None.
 
     Deterministic search order: the witness returned has the least tuple of
     image lengths (variables in order of first occurrence).  The regex
     engine binds variables leftmost first, tries shorter images first (the
-    groups are lazy) and backtracks into the latest choice.
+    groups are lazy) and backtracks into the latest choice.  A word whose
+    length no image of p has is refused before the engine runs.
     """
-    m = _regex(p).fullmatch(_text(w))
+    rx = _regex(p)
+    if not _lengths(p, len(w)) >> len(w) & 1:
+        return None
+    m = rx.fullmatch(_text(w))
     return None if m is None else _witness(w, m)
 
 
 def encounters(w: Sequence, p: Pattern) -> Optional[tuple[int, MorphismWitness]]:
     """Leftmost-then-shortest infix of w matching p, with its witness.
 
-    Scans offsets ascending and, per offset, infix lengths ascending.
+    Scans offsets ascending and, per offset, infix lengths ascending,
+    skipping the lengths that no image of p has.
     """
-    rx, text = _regex(p), _text(w)
+    rx, text, lengths = _regex(p), _text(w), _lengths(p, len(w))
+    sizes = [t for t in range(len(p), len(w) + 1) if lengths >> t & 1]
     for s in range(len(w) - len(p) + 1):
-        for e in range(s + len(p), len(w) + 1):
-            m = rx.fullmatch(text, s, e)
+        for t in sizes:
+            if s + t > len(w):
+                break
+            m = rx.fullmatch(text, s, s + t)
             if m is not None:
                 return s, _witness(w, m)
     return None

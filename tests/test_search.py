@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -7,6 +8,8 @@ import shutil
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ziminwords import search as search_module
 from ziminwords import zimin_index
@@ -164,7 +167,10 @@ def _top_by_oracle(word):
 
 
 def _state(tracker):
-    return tracker.word[:], tracker._letter_pos[:], tracker.top
+    # the word, top and the live slots of the suffix automaton
+    size = tracker._size
+    slots = [column[:size] for column in (tracker._len, tracker._link, tracker._first, *tracker._next)]
+    return tracker.word[:], tracker.top, tracker._last, slots
 
 
 def _fresh_state(n, k, word):
@@ -200,6 +206,50 @@ def test_tracker_random_walks_match_oracle():
                     # of a tracker built on the word from scratch
                     assert fast.top == _top_by_oracle(fast.word), (n, k, fast.word)
                     assert _state(fast) == _fresh_state(n, k, fast.word), (n, k, fast.word)
+
+
+def _slots(tracker):
+    # every slot, live or not, and the undo records
+    columns = (tracker._len, tracker._link, tracker._first, *tracker._next)
+    return _state(tracker), [column[:] for column in columns], tracker._size, tracker._undo[:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    k=st.integers(1, 4),
+    # each step: a letter to push, or None to pop
+    steps=st.lists(st.one_of(st.none(), st.integers(0, 3)), max_size=120),
+)
+def test_tracker_push_pop_restores_the_automaton(n, k, steps):
+    tracker = ZiminSuffixTracker(n, k)
+    before = []  # the slots before each accepted push on the path
+    for step in steps:
+        if step is None:
+            if not tracker.word:
+                continue
+            tracker.pop()
+            # a pop restores the live automaton, whatever slots grew since
+            assert _state(tracker) == before.pop()[0]
+        else:
+            c = step % k
+            snapshot = _slots(tracker)
+            if tracker.try_push(c):
+                before.append(snapshot)
+            else:
+                # a refused push changes nothing, not even the spare slots
+                assert _slots(tracker) == snapshot
+        # a slot past the live count has no transitions
+        assert all(x == -1 for column in tracker._next for x in column[tracker._size :])
+    assert _state(tracker) == _fresh_state(n, k, tracker.word)
+
+
+def test_deep_f52_search_pinned():
+    cert = longest_avoiding(5, 2, max_nodes=20_000)
+    assert (cert.max_avoiding_length, cert.nodes_explored, cert.exhausted) == (19_916, 20_000, False)
+    assert hashlib.sha256(cert.witness.encode()).hexdigest() == (
+        "d103dd4109cadaea724f68950ea87076e37db4092cd4d2524cbb19c6daf58303"
+    )
 
 
 def test_deep_f42_search_pinned():
@@ -346,6 +396,28 @@ def test_periodic_checkpoints_pass_every_multiple(tmp_path, monkeypatch):
     monkeypatch.undo()
     for copy in copies:
         assert longest_avoiding(2, 4, checkpoint_path=str(copy), resume=True) == target
+
+
+def test_periodic_checkpoint_at_a_depth_record_holds_the_best_word(tmp_path, monkeypatch):
+    # the first nodes of f(4,2) are each a new depth record, whose word the
+    # search copies only when it leaves the node or writes a checkpoint
+    ck = tmp_path / "run.json"
+    write = search_module._write_checkpoint
+    states = []
+
+    def keep(path, *args):
+        write(path, *args)
+        states.append(load_checkpoint(path))
+
+    monkeypatch.setattr(search_module, "_write_checkpoint", keep)
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 10)
+    cert = longest_avoiding(4, 2, max_nodes=25, checkpoint_path=str(ck))
+    assert [state["nodes_explored"] for state in states] == [10, 20, 25]
+    for state in states:
+        assert state["best_witness"] == state["path"] and state["best_length"] == len(state["path"])
+    assert states[-1]["best_witness"] == cert.witness
+    monkeypatch.undo()
+    assert longest_avoiding(4, 2, max_nodes=25, checkpoint_path=str(ck), resume=True) == cert
 
 
 def test_resume_writes_no_checkpoint_it_was_read_from(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from ziminwords.counters import counter
 from ziminwords.errors import ResourceLimitError
 from ziminwords.oracles import is_unavoidable_via_zimin, zimin_index_enumerated, zimin_type_recursive
 from ziminwords.words import RankedWord, sym
-from ziminwords.zimin import DEFAULT_INDEX_LENGTH_CAP, _prefix_types
+from ziminwords.zimin import DEFAULT_INDEX_LENGTH_CAP, _lengths, _prefix_types
 
 
 def binary_words(max_len, min_len=0):
@@ -174,6 +175,25 @@ def test_matches_long_pattern_without_recursion():
     assert got is not None and got.assignment == {1: "0", 2: "1"}
     got = matches("0011" * 550, pattern)
     assert got is not None and got.assignment == {1: "0", 2: "011"}
+
+
+def test_matches_refuses_lengths_no_image_has():
+    # every image of (x1 x2)^550 has a length divisible by 550
+    pattern = Pattern([1, 2] * 550)
+    assert matches("01" * 600, pattern) is None
+    assert matches("0" * 1200 + "1", pattern) is None
+    assert matches("0" * 1650, pattern).assignment == {1: "0", 2: "00"}
+
+
+def test_image_lengths_by_enumeration():
+    for p in ["x", "xx", "xyx", "xxyxx", "xyxzxyx", "xxxyyxxx", "xyzzyx"]:
+        pattern = Pattern.parse(p)
+        counts = list(Counter(pattern).values())
+        reachable = {
+            sum(c * l for c, l in zip(counts, ls)) for ls in itertools.product(range(1, 21), repeat=len(counts))
+        }
+        got = _lengths(pattern, 20)
+        assert [t for t in range(21) if got >> t & 1] == sorted(t for t in reachable if t <= 20), p
 
 
 def test_matches_search_order():
