@@ -50,6 +50,33 @@ def zimin_index_enumerated(w: Sequence) -> int:
     return best
 
 
+def zimin_index_per_start(w: Sequence) -> int:
+    """Maximum Zimin type over all infixes of w, start by start: every
+    prefix u of w[s:] is typed as 1 + the maximum type over its borders a
+    with 2|a| < |u|, each border read off the prefix function of w[s:].
+    About |w|^2 steps, and |w|^3 on periodic words, whose border chains
+    are long."""
+    best = 0
+    for s in range(len(w)):
+        v = w[s:]
+        border = [0] * (len(v) + 1)  # border[i]: longest proper border of v[:i]
+        # top[i]: the highest type of v[:i] and of its borders
+        top = [0, 1] + [0] * (len(v) - 1)
+        q = 0
+        for i, x in enumerate(v[1:], 2):  # x ends v[:i]
+            while q and v[q] != x:
+                q = border[q]
+            if v[q] == x:
+                q += 1
+            border[i] = b = q
+            while 2 * b >= i:
+                b = border[b]
+            t, u = 1 + top[b], top[q]
+            top[i] = t if t > u else u
+        best = max(best, *top)
+    return best
+
+
 def matches_by_lengths(w: Sequence, p: Pattern) -> dict | None:
     """The first non-erasing assignment whose image of p is w, or None.
 

@@ -10,8 +10,9 @@ A new encounter created by appending one letter must lie in a suffix of
 the extended word, so each node asks whether some suffix of w·c has Zimin
 type >= n.  ``zimin.ZiminSuffixTracker``, the engine of ``zimin_index``,
 answers that within the push: it finds the longest suffix of w·c with an
-earlier copy ending at least one letter before it starts, and types the
-shorter suffixes in one prefix-function pass, the one ``zimin_type`` makes.
+earlier copy ending at least one letter before it starts, and reads the
+highest type of the shorter suffixes off the levels kept for the end of
+that copy.
 
 Encountering Z_n, plainly or abelian, does not depend on letter names, so
 the tree is symmetric.  At a node w let u be the smallest letter absent

@@ -12,14 +12,15 @@ encounters it; ``is_unavoidable`` decides it by free-letter deletions
 instead, without building Z_n.
 
 ``_prefix_types`` types every prefix of a word in one pass, for
-``zimin_type`` and for ``ZiminSuffixTracker``, which types the suffixes of
-a word as each letter is appended and drives ``zimin_index`` and the search.
+``zimin_type``.  ``ZiminSuffixTracker`` keeps the highest type among the
+suffixes of a word as each letter is appended and drives ``zimin_index``
+and the search.
 """
 
 from __future__ import annotations
 
-import functools
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,8 +30,8 @@ from .errors import ResourceLimitError
 # most distinct variables of a pattern for is_unavoidable, and most n for
 # zimin_pattern(n), which has 2^n - 1 positions
 DEFAULT_ZIMIN_PATTERN_CAP = 25
-# zimin_index costs about |w|^2 steps on periodic words, all in the typing
-# pass: a^4000 takes about 1.4 s
+# zimin_index costs about |w|^2 steps on periodic words, all in the walk
+# down suffix links that finds B: a^4000 takes about 0.4 s, a^10000 2.8 s
 DEFAULT_INDEX_LENGTH_CAP = 4_000
 
 
@@ -131,7 +132,10 @@ class ZiminSuffixTracker:
     earliest end of their strings.  Transitions are one column per letter,
     -1 for none.  State 0 is a bottom state of length -1 whose every
     transition leads to the root, state 1, so neither walk below needs a
-    case for the root.
+    case for the root.  Each position e also keeps its levels
+    (L_1, ..., L_top), L_j the length of the shortest suffix of
+    ``word[:e+1]`` of type >= j (L_1 = 1), and the word is mirrored in a
+    bytearray, a fixed number of bytes per letter, for ``rfind``.
 
     A suffix u of w·c has type 1 + max type(a) over its borders a with
     2|a| < |u|, and such an a is a suffix a_b of w·c with an earlier copy
@@ -140,14 +144,24 @@ class ZiminSuffixTracker:
     suffixes of w·c is 1 + max type(a_b) over b <= B, or 1 when B = 0.  A
     push follows links from the last state to the first state p with a
     c-transition, to q; a_b with b <= len(p) + 1 lies in q or below it on
-    q's links, and qualifies when b <= |w| - 1 - first.  Then one pass over
-    the reverse of a_B (a word and its reverse have the same type) types
-    every a_b, memoized for short a_B: about B steps.
+    q's links, and qualifies when b <= |w| - 1 - first.
 
-    Only an accepted push extends the automaton, with the p it found, and
-    saves (top, last state, q if q was cloned else 0) for ``pop``, which
-    undoes the new transitions and the clone.  State slots only grow, and
-    a slot past the live count keeps every transition at -1.
+    The walk stops at the state t of a_B, which ends at e = first(t) too,
+    so the suffixes of length <= B of w·c are those of ``word[:e+1]``: the
+    highest type among them is J, the number of levels of e that are
+    <= B, the new top is J + 1, and the new position m shares L_1..L_J
+    with e.  Its L_(J+1) is the length of the shortest suffix a v a with
+    type(a) >= J and v non-empty.  The shortest suffix a* of type >= J
+    (L_J letters) is a suffix of every such a, so it has a copy ending
+    where the first a ends: the shortest is a* v a*, with the first a* the
+    latest copy that ends at least one letter before the last a* starts.
+    One ``rfind`` finds it, and there is one, as a* also ends at e.
+
+    Only an accepted push extends the automaton, with the p it found, the
+    levels and the mirror, and saves (top, last state, q if q was cloned
+    else 0) for ``pop``, which undoes the new transitions and the clone.
+    State slots only grow, and a slot past the live count keeps every
+    transition at -1.
     """
 
     def __init__(self, n: int, k: int):
@@ -157,6 +171,10 @@ class ZiminSuffixTracker:
         self.k = k
         self.word: list[int] = []
         self.top = 0
+        self._levels: list[tuple[int, ...]] = []
+        self._width = ((k - 1).bit_length() + 7) // 8 or 1  # bytes per letter
+        self._bytes = [c.to_bytes(self._width, "big") for c in range(k)]
+        self._text = bytearray()
         self._len = [-1, 0]
         self._link = [-1, 0]
         self._first = [-1, -1]
@@ -185,12 +203,30 @@ class ZiminSuffixTracker:
             b = m - 1 - first[t]
             if b > length[t]:
                 b = length[t]
-        # the reversed a_b are the prefixes of the reversed a_B
-        v = (c, *word[: m - b : -1]) if b else ()
-        top = _short_top(v) if b <= _SHORT else 1 + max(_prefix_types(v))
+        if b:
+            e = first[t]
+            levels = self._levels[e]
+            top = bisect_right(levels, b) + 1
+        else:
+            top = 1
         if top >= self.n:
             return False
         word.append(c)
+        text = self._text
+        text += self._bytes[c]
+        if b:
+            # the latest copy of a* (L_J letters) that ends at least one
+            # letter before the suffix a* starts
+            w = self._width
+            ell = levels[top - 2]
+            a = text[(m + 1 - ell) * w :]
+            lo = (e + 1 - ell) * w
+            hit = text.rfind(a, lo, (m - ell) * w)
+            while hit % w:  # a hit across letter boundaries
+                hit = text.rfind(a, lo, hit + len(a) - 1)
+            self._levels.append(levels[: top - 1] + (m + 1 - hit // w,))
+        else:
+            self._levels.append((1,))
         cur = self._size
         if cur + 1 >= len(length):
             # room for cur and a clone; a new slot has no transitions
@@ -227,6 +263,8 @@ class ZiminSuffixTracker:
     def pop(self):
         self.top, last, q = self._undo.pop()
         col = self._next[self.word.pop()]
+        self._levels.pop()
+        del self._text[-self._width :]
         link = self._link
         cur = self._last
         self._last = last
@@ -248,15 +286,6 @@ class ZiminSuffixTracker:
 
 # bound once: code that wraps the search's tracker methods must not see this
 _try_push = ZiminSuffixTracker.try_push
-
-# short reversed suffixes recur (126 distinct ones in the 152,260 pushes of
-# f(3,2) and f(3,3) at 25,000 nodes), so their top is memoized
-_SHORT = 8
-
-
-@functools.lru_cache(maxsize=1024)
-def _short_top(v: tuple) -> int:
-    return 1 + max(_prefix_types(v))
 
 
 def _prefix_types(v: Sequence) -> list[int]:

@@ -15,7 +15,7 @@ from ziminwords import search as search_module
 from ziminwords import zimin_index
 from ziminwords.abelian import AbelianSuffixTracker
 from ziminwords.errors import ResourceLimitError
-from ziminwords.oracles import zimin_index_enumerated, zimin_type_recursive
+from ziminwords.oracles import zimin_index_enumerated, zimin_index_per_start, zimin_type_recursive
 from ziminwords.search import (
     OracleSuffixTracker,
     SearchCertificate,
@@ -162,15 +162,19 @@ def test_tracker_push_pop_consistency():
             break
 
 
-def _top_by_oracle(word):
-    return max((zimin_type_recursive(word[s:]) for s in range(len(word))), default=0)
+def _levels_by_oracle(word):
+    # L_j, the length of the shortest suffix of type >= j, for j = 1..top,
+    # the highest type of a suffix
+    types = [zimin_type_recursive(word[len(word) - length :]) for length in range(1, len(word) + 1)]
+    return tuple(next(i for i, t in enumerate(types, 1) if t >= j) for j in range(1, max(types, default=0) + 1))
 
 
 def _state(tracker):
-    # the word, top and the live slots of the suffix automaton
+    # the word, top, the levels of every position, the mirror and the live
+    # slots of the suffix automaton
     size = tracker._size
     slots = [column[:size] for column in (tracker._len, tracker._link, tracker._first, *tracker._next)]
-    return tracker.word[:], tracker.top, tracker._last, slots
+    return tracker.word[:], tracker.top, tracker._levels[:], bytes(tracker._text), tracker._last, slots
 
 
 def _fresh_state(n, k, word):
@@ -190,8 +194,11 @@ def test_tracker_random_walks_match_oracle():
     assert _state(tracker) == _fresh_state(2, 2, [0, 0, 1, 1])
     rng = random.Random(20190215)
     for n in (2, 3, 4, 5):
-        for k in (1, 2, 3, 4):
-            for _ in range(6):
+        # 300 letters take two bytes each in the mirror, where the letters
+        # 1, 256 hold the bytes of 257 across their boundary
+        wide = (300, (0, 1, 255, 256, 257, 299), 1)
+        for k, letters, walks in [(k, range(k), 6) for k in (1, 2, 3, 4)] + [wide]:
+            for _ in range(walks):
                 fast, slow = ZiminSuffixTracker(n, k), OracleSuffixTracker(n, k)
                 max_len = rng.randrange(20, 61)
                 for _ in range(150):
@@ -199,12 +206,14 @@ def test_tracker_random_walks_match_oracle():
                         fast.pop()
                         slow.pop()
                     else:
-                        c = rng.randrange(k)
+                        c = rng.choice(letters)
                         assert fast.try_push(c) == slow.try_push(c), (n, k, fast.word, c)
                     assert fast.word == slow.word
                     # after a push, a refused push or a pop, the state is that
                     # of a tracker built on the word from scratch
-                    assert fast.top == _top_by_oracle(fast.word), (n, k, fast.word)
+                    levels = _levels_by_oracle(fast.word)
+                    assert fast.top == len(levels), (n, k, fast.word)
+                    assert (fast._levels[-1] if fast.word else ()) == levels, (n, k, fast.word)
                     assert _state(fast) == _fresh_state(n, k, fast.word), (n, k, fast.word)
 
 
@@ -256,7 +265,7 @@ def test_deep_f42_search_pinned():
     cert = longest_avoiding(4, 2, max_nodes=3000)
     assert cert.max_avoiding_length == 2378 and len(cert.witness) == 2378
     assert cert.nodes_explored == 3000 and not cert.exhausted
-    assert zimin_index(cert.witness, max_length=None) < 4
+    assert zimin_index(cert.witness, max_length=None) == zimin_index_per_start(cert.witness) == 3
 
 
 def test_checkpoint_resume_roundtrip(tmp_path):

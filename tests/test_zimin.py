@@ -18,7 +18,12 @@ from ziminwords import (
 )
 from ziminwords.counters import counter
 from ziminwords.errors import ResourceLimitError
-from ziminwords.oracles import is_unavoidable_via_zimin, zimin_index_enumerated, zimin_type_recursive
+from ziminwords.oracles import (
+    is_unavoidable_via_zimin,
+    zimin_index_enumerated,
+    zimin_index_per_start,
+    zimin_type_recursive,
+)
 from ziminwords.words import RankedWord, sym
 from ziminwords.zimin import DEFAULT_INDEX_LENGTH_CAP, _lengths, _prefix_types
 
@@ -85,6 +90,35 @@ def test_zimin_index_of_unary_words():
     for m in lengths:
         assert zimin_index("a" * m, max_length=None) == math.floor(math.log2(m + 1)), m
         assert zimin_type("a" * m) == math.floor(math.log2(m + 1)), m
+
+
+def test_index_agrees_with_per_start_oracle():
+    # words past the enumeration's reach: random, periodic and counters
+    rng = random.Random(2019)
+    words = [[rng.randrange(k) for _ in range(rng.randint(1, 200))] for k in (1, 2, 2, 3, 3, 4) for _ in range(4)]
+    words += [a * m for a in ("a", "ab") for m in (1, 2, 3, 7, 8, 31, 32, 63, 64, 127, 128, 150)]
+    words += ["a" * m for m in (255, 256, 300)]
+    words += [tuple(counter(i, 3)) for i in range(16)] + [tuple(counter(i, 4)) for i in (0, 1, 2**15, 2**16 - 1)]
+    for w in words:
+        assert zimin_index(w) == zimin_index_per_start(w), w
+
+
+def test_index_of_wide_alphabets():
+    # 257 to 600 distinct letters take two bytes each in the tracker's
+    # mirror, where a letter's bytes show up across letter boundaries: 1, 1
+    # holds those of 256, and 256, 256 those of 1
+    w = tuple(range(300))
+    assert zimin_index(w) == zimin_index_per_start(w) == 1
+    # canonical letters follow first occurrences, so a head range(size)
+    # keeps every letter's name; hits across boundaries would give 3 here
+    w = [*range(257), 1, 256, 3, 256, 1, 1, 3, 256, 3, 1, 1, 3, 256, 256]
+    assert zimin_index(w) == zimin_index_per_start(w) == 2
+    rng = random.Random(257)
+    for size in (257, 300, 600):
+        for _ in range(2):
+            tail = [rng.choice((0, 1, 256, 257, size - 1, rng.randrange(size))) for _ in range(150)]
+            w = [*range(size), *tail]
+            assert zimin_index(w) == zimin_index_per_start(w), (size, tail)
 
 
 def test_zimin_images_have_type_at_least_n():
