@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-nodes",
         type=int,
         default=None,
-        help="stop after this many nodes; a deep run holds about 470 bytes per letter "
+        help="stop after this many nodes; a deep run holds about 460 bytes per letter "
         "of depth (88 MB at depth 158,835)",
     )
     q.add_argument("--budget-seconds", type=float, default=None)

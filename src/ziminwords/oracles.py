@@ -50,6 +50,26 @@ def zimin_index_enumerated(w: Sequence) -> int:
     return best
 
 
+class OracleSuffixTracker:
+    """Reference tracker for the search: types every suffix of the extended
+    word with ``zimin_type_recursive``, sharing no code with ``zimin``."""
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.k = k
+        self.word: list[int] = []
+
+    def try_push(self, c: int) -> bool:
+        w = self.word + [c]
+        if any(zimin_type_recursive(w[s:]) >= self.n for s in range(len(w))):
+            return False
+        self.word.append(c)
+        return True
+
+    def pop(self):
+        self.word.pop()
+
+
 def zimin_index_per_start(w: Sequence) -> int:
     """Maximum Zimin type over all infixes of w, start by start: every
     prefix u of w[s:] is typed as 1 + the maximum type over its borders a

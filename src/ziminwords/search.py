@@ -45,7 +45,6 @@ from typing import Optional
 
 from .counters import counter
 from .errors import ResourceLimitError
-from .oracles import zimin_type_recursive
 from .words import DEFAULT_DIGIT_CAP, guarded_power, tau
 from .zimin import ZiminSuffixTracker, matches, zimin_index, zimin_pattern
 
@@ -60,26 +59,6 @@ def render_word(word) -> str:
 
 def parse_rendered_word(text: str) -> list[int]:
     return [LETTERS.index(c) for c in text]
-
-
-class OracleSuffixTracker:
-    """Reference tracker: types every suffix of the extended word with the
-    naive recursion of ``oracles``, sharing no code with ``zimin_type``."""
-
-    def __init__(self, n: int, k: int):
-        self.n = n
-        self.k = k
-        self.word: list[int] = []
-
-    def try_push(self, c: int) -> bool:
-        w = self.word + [c]
-        if any(zimin_type_recursive(w[s:]) >= self.n for s in range(len(w))):
-            return False
-        self.word.append(c)
-        return True
-
-    def pop(self):
-        self.word.pop()
 
 
 @dataclass(frozen=True)
@@ -116,8 +95,6 @@ class SearchCertificate:
 def _make_tracker(mode: str, n: int, k: int):
     if mode == "zimin":
         return ZiminSuffixTracker(n, k)
-    if mode == "zimin-oracle":
-        return OracleSuffixTracker(n, k)
     if mode == "abelian":
         from .abelian import AbelianSuffixTracker
 
@@ -125,10 +102,10 @@ def _make_tracker(mode: str, n: int, k: int):
     raise ValueError(f"unknown tracker mode {mode!r}")
 
 
-def _depth_first(tracker, k, max_nodes, deadline=None, *, resume=None, checkpoint_path=None, meta=None):
+def _depth_first(tracker, max_nodes, deadline=None, *, resume=None, checkpoint_path=None, meta=None):
     """Letters-ascending DFS over the avoiding tree rooted at tracker.word,
-    counting the renamed copies of subtrees instead of walking them (see
-    the module docstring).
+    over ``tracker.k`` letters, counting the renamed copies of subtrees
+    instead of walking them (see the module docstring).
 
     Returns (best_length, best_word, exhausted, nodes), with best_word
     rendered and the node count including tracker.word itself.  The walk
@@ -139,44 +116,49 @@ def _depth_first(tracker, k, max_nodes, deadline=None, *, resume=None, checkpoin
     reported.  Checkpoints record the current path with the skip state of
     every node on it, the deepest node's next letter and its skip, so a
     resumed run continues exactly where the file says, at the copy letter
-    too.  Skips jump over node counts, so a periodic checkpoint is written
-    at the first entry at or past each multiple of ``CHECKPOINT_EVERY``.
+    too, once the signs of the skips agree with the letters of the path.
+    Skips jump over node counts, so a periodic checkpoint is written at the
+    first entry at or past each multiple of ``CHECKPOINT_EVERY``.
     """
-    base_depth = len(tracker.word)
-    best_len = base_depth
-    # None: the best word is tracker.word, copied at the first pop from it
-    best = None
-    nodes = 1
-    # A node's state: the next letter to try; ``absent``, the bitmask of the
-    # letters absent from its word plus bit k, so that u, its lowest bit, is
-    # the smallest absent letter or k; and ``skip``, the size of the subtree
-    # of its child u once that is closed (0 if the child does not avoid) or,
-    # while it is open, minus the node count before the child.  Each node on
-    # the path below the base keeps its parent's next letter in ``pending``.
-    # Once every letter occurs (u = k), skip stays 0 and absent and u stay
-    # put, so only a parent with an absent letter also saves (u, skip,
-    # absent) in ``saved``, and marks its next letter c as ~c.
+    k = tracker.k
+    word = tracker.word
+    base_depth = len(word)
+    # The path is ``word``; a pop makes the popped letter + 1 the next to
+    # try.  At the deepest node: ``cur``, the next letter to try; ``absent``,
+    # the bitmask of the letters absent from its word plus bit k, so that u,
+    # its lowest bit, is the smallest absent letter or k; and ``skip``, the
+    # size of the subtree of its child u once that is closed (0 if the child
+    # does not avoid) or, while it is open, minus the node count before the
+    # child.  Once every letter occurs (u = k), skip stays 0 and absent and u
+    # stay put, so only the nodes that miss a letter, a prefix of the path,
+    # save (u, skip, absent) in ``saved``.  The best word is word[:keep] +
+    # tail[::-1]: a pop through its end moves the letter to ``tail``, and the
+    # letter tried next there is larger, so the path never matches more.
     absent = (1 << (k + 1)) - 1
-    for c in tracker.word:
+    for c in word:
         absent &= ~(1 << c)
-    pending: list[int] = []
     saved: list[tuple[int, int, int]] = []
+    best_len = keep = base_depth
+    tail: list[int] = []
+    nodes = 1
     if resume is not None:
-        path = parse_rendered_word(resume["path"])
-        for c, skip in zip(path[base_depth:], resume["skip_state"]):
+        for c, skip in zip(parse_rendered_word(resume["path"])[base_depth:], resume["skip_state"]):
+            u = (absent & -absent).bit_length() - 1
             if c >= k or not tracker.try_push(c):
                 raise ValueError(f"checkpoint path is not an avoiding word over {k} letters")
-            if absent == 1 << k:
-                pending.append(c + 1)
-            else:
-                pending.append(~(c + 1))
-                saved.append(((absent & -absent).bit_length() - 1, skip, absent))
+            # 0 before u is tried, negative while its subtree is open, >= 0 after
+            if not (skip == 0 if c < u else skip < 0 if c == u else skip >= 0 and not absent >> c & 1):
+                raise ValueError("checkpoint skip_state contradicts its path")
+            if u < k:
+                saved.append((u, skip, absent))
                 absent &= ~(1 << c)
-        best_len = resume["best_length"]
-        best = parse_rendered_word(resume["best_witness"])
+        best_len, keep = resume["best_length"], 0
+        tail = parse_rendered_word(resume["best_witness"])[::-1]
         nodes = resume["nodes_explored"]
     u = (absent & -absent).bit_length() - 1
     cur, skip = (0, 0) if resume is None else (resume["next_letter"], resume["skip"])
+    if skip and cur <= u:
+        raise ValueError("checkpoint skip counts a subtree before its next letter")
     every = CHECKPOINT_EVERY if checkpoint_path else 0
     next_checkpoint = (nodes // every + 1) * every if every else 0
     entered = True
@@ -185,29 +167,29 @@ def _depth_first(tracker, k, max_nodes, deadline=None, *, resume=None, checkpoin
     while True:
         if entered:
             entered = False
-            depth = len(tracker.word)
+            depth = len(word)
             if depth > best_len:
-                best_len = depth
-                best = None
+                best_len = keep = depth
+                tail = []
             if (max_nodes is not None and nodes >= max_nodes) or (
                 deadline is not None and time.monotonic() > deadline
             ):
                 break
             if every and nodes >= next_checkpoint:
-                if best is None:
-                    best = tracker.word[:]
-                _write_checkpoint(checkpoint_path, tracker, pending, saved, cur, skip, best_len, best, nodes, meta)
+                best = word[:keep] + tail[::-1]
+                _write_checkpoint(checkpoint_path, tracker, saved, cur, skip, best_len, best, nodes, meta)
                 next_checkpoint = (nodes // every + 1) * every
         if cur >= k:
-            if not pending:
+            depth = len(word) - 1
+            if depth < base_depth:
                 exhausted = True
                 break
-            if best is None:
-                best = tracker.word[:]
+            cur = word[depth] + 1
+            if depth < keep:
+                keep = depth
+                tail.append(cur - 1)
             tracker.pop()
-            cur = pending.pop()
-            if cur < 0:
-                cur = ~cur
+            if len(saved) > depth - base_depth:
                 u, skip, absent = saved.pop()
                 if skip < 0:
                     skip += nodes
@@ -224,30 +206,26 @@ def _depth_first(tracker, k, max_nodes, deadline=None, *, resume=None, checkpoin
         cur += 1
         if tracker.try_push(c):
             if u < k:
-                pending.append(~cur)
                 saved.append((u, -nodes if c == u else skip, absent))
                 if absent >> c & 1:
                     absent ^= 1 << c
                     u = (absent & -absent).bit_length() - 1
-            else:
-                pending.append(cur)
             nodes += 1
             cur = 0
             skip = 0
             entered = True
-    if best is None:
-        best = tracker.word[:]
+    best = word[:keep] + tail[::-1]
     if checkpoint_path and not exhausted:
-        _write_checkpoint(checkpoint_path, tracker, pending, saved, cur, skip, best_len, best, nodes, meta)
+        _write_checkpoint(checkpoint_path, tracker, saved, cur, skip, best_len, best, nodes, meta)
     return best_len, render_word(best), exhausted, max_nodes if in_copy else nodes
 
 
-def _write_checkpoint(path, tracker, pending, saved, cur, skip, best_len, best, nodes, meta):
-    states = iter(saved)
+def _write_checkpoint(path, tracker, saved, cur, skip, best_len, best, nodes, meta):
     payload = {
         "version": CHECKPOINT_VERSION,
         "path": render_word(tracker.word),
-        "skip_state": [next(states)[1] if c < 0 else 0 for c in pending],
+        # the nodes past the records have every letter, so their skips are 0
+        "skip_state": [record[1] for record in saved] + [0] * (len(tracker.word) - len(saved)),
         "next_letter": cur,
         "skip": skip,
         "best_length": best_len,
@@ -359,7 +337,6 @@ def longest_avoiding(
             raise ValueError(f"checkpoint next_letter is not one of {k} letters")
     best_len, best, exhausted, nodes = _depth_first(
         tracker,
-        k,
         max_nodes,
         deadline,
         resume=resume_state,

@@ -52,13 +52,12 @@ from .oracles import (
     zimin_type_recursive,
 )
 from .search import (
-    ZiminSuffixTracker,
     longest_avoiding,
     match_count_enumerated,
     match_probability,
 )
 from .words import RankedWord, occurrences, sym, tau
-from .zimin import zimin_index, zimin_type
+from .zimin import ZiminSuffixTracker, zimin_index, zimin_type
 
 
 @dataclass

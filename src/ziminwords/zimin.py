@@ -158,8 +158,8 @@ class ZiminSuffixTracker:
     One ``rfind`` finds it, and there is one, as a* also ends at e.
 
     Only an accepted push extends the automaton, with the p it found, the
-    levels and the mirror, and saves (top, last state, q if q was cloned
-    else 0) for ``pop``, which undoes the new transitions and the clone.
+    levels and the mirror, and saves (last state, q if q was cloned else 0)
+    for ``pop``, which undoes the new transitions and the clone.
     State slots only grow, and a slot past the live count keeps every
     transition at -1.
     """
@@ -170,7 +170,6 @@ class ZiminSuffixTracker:
         self.n = n
         self.k = k
         self.word: list[int] = []
-        self.top = 0
         self._levels: list[tuple[int, ...]] = []
         self._width = ((k - 1).bit_length() + 7) // 8 or 1  # bytes per letter
         self._bytes = [c.to_bytes(self._width, "big") for c in range(k)]
@@ -181,7 +180,7 @@ class ZiminSuffixTracker:
         self._next = [[1, -1] for _ in range(k)]
         self._last = 1
         self._size = 2  # live states
-        self._undo: list[tuple[int, int, int]] = []
+        self._undo: list[tuple[int, int]] = []
 
     def try_push(self, c: int) -> bool:
         """Append c unless it creates a suffix of type >= n; report success."""
@@ -241,7 +240,7 @@ class ZiminSuffixTracker:
         if length[p] + 1 == length[q]:
             link[cur] = q
             self._size = cur + 1
-            self._undo.append((self.top, last, 0))
+            self._undo.append((last, 0))
         else:
             # q's strings up to len(p) + 1 move to a clone
             clone = cur + 1
@@ -255,13 +254,17 @@ class ZiminSuffixTracker:
                 s = link[s]
             link[q] = link[cur] = clone
             self._size = cur + 2
-            self._undo.append((self.top, last, q))
+            self._undo.append((last, q))
         self._last = cur
-        self.top = top
         return True
 
+    @property
+    def top(self) -> int:
+        """The number of levels of the last position."""
+        return len(self._levels[-1]) if self._levels else 0
+
     def pop(self):
-        self.top, last, q = self._undo.pop()
+        last, q = self._undo.pop()
         col = self._next[self.word.pop()]
         self._levels.pop()
         del self._text[-self._width :]
@@ -325,7 +328,7 @@ def zimin_index(w: Sequence, max_length: Optional[int] = DEFAULT_INDEX_LENGTH_CA
     """Maximum Zimin type over all infixes of w (0 for the empty word).
 
     Every infix is a suffix of a prefix, so this is the highest ``top``
-    over the pushes of w.
+    over the pushes of w: the most levels of any position.
     """
     n = len(w)
     if max_length is not None and n > max_length:
@@ -333,11 +336,9 @@ def zimin_index(w: Sequence, max_length: Optional[int] = DEFAULT_INDEX_LENGTH_CA
     x = _canon(w)
     # types are at most floor(log2(n + 1)), so no push of x is rejected
     tracker = ZiminSuffixTracker(n.bit_length() + 2, max(x, default=0) + 1)
-    best = 0
     for c in x:
         _try_push(tracker, c)
-        best = max(best, tracker.top)
-    return best
+    return max(map(len, tracker._levels), default=0)
 
 
 def _regex(p: Pattern) -> re.Pattern:

@@ -15,9 +15,13 @@ from ziminwords import search as search_module
 from ziminwords import zimin_index
 from ziminwords.abelian import AbelianSuffixTracker
 from ziminwords.errors import ResourceLimitError
-from ziminwords.oracles import zimin_index_enumerated, zimin_index_per_start, zimin_type_recursive
-from ziminwords.search import (
+from ziminwords.oracles import (
     OracleSuffixTracker,
+    zimin_index_enumerated,
+    zimin_index_per_start,
+    zimin_type_recursive,
+)
+from ziminwords.search import (
     SearchCertificate,
     ZiminSuffixTracker,
     counter_witness_bounds,
@@ -72,12 +76,14 @@ def test_budget_certificate_reports_lower_bound_only():
     assert cert.nodes_explored == 500
 
 
-def test_oracle_mode_agrees():
-    for n, k in [(2, 2), (2, 3)]:
-        assert longest_avoiding(n, k) == longest_avoiding(n, k, mode="zimin-oracle")
-
-
+# the trackers whose plain preorder a search is checked against: the
+# search's own, and for the "zimin" search also the naive oracle's
 _TRACKERS = {"zimin": ZiminSuffixTracker, "zimin-oracle": OracleSuffixTracker, "abelian": AbelianSuffixTracker}
+
+
+def _mode(reference):
+    # the search mode that a reference tracker checks
+    return reference.removesuffix("-oracle")
 
 
 def _preorder(tracker, k):
@@ -90,9 +96,9 @@ def _preorder(tracker, k):
             tracker.pop()
 
 
-def _reference(mode, n, k, base=()):
+def _reference(reference, n, k, base=()):
     """The certificates of a search from ``base`` at every budget 1..size+1."""
-    tracker = _TRACKERS[mode](n, k)
+    tracker = _TRACKERS[reference](n, k)
     assert all(tracker.try_push(c) for c in base)
     certs, best = [], list(base)
     for count, word in enumerate(_preorder(tracker, k), start=1):
@@ -106,25 +112,26 @@ _SMALL_TREES = [("zimin", 2, 3), ("zimin", 2, 4), ("zimin-oracle", 2, 3), ("zimi
                 ("abelian", 2, 3), ("abelian", 2, 4)]
 
 
-@pytest.mark.parametrize("mode, n, k", _SMALL_TREES)
-def test_search_matches_plain_preorder_at_every_budget(mode, n, k):
-    expected = _reference(mode, n, k)
+@pytest.mark.parametrize("reference, n, k", _SMALL_TREES)
+def test_search_matches_plain_preorder_at_every_budget(reference, n, k):
+    expected = _reference(reference, n, k)
+    mode = _mode(reference)
     assert longest_avoiding(n, k, mode=mode) == expected[-1]
     for budget, cert in enumerate(expected, start=1):
         assert longest_avoiding(n, k, mode=mode, max_nodes=budget) == cert, budget
 
 
-@pytest.mark.parametrize("mode, n, k", _SMALL_TREES)
-def test_worker_search_from_base_words_matches_plain_preorder(mode, n, k):
+@pytest.mark.parametrize("reference, n, k", _SMALL_TREES)
+def test_worker_search_from_base_words_matches_plain_preorder(reference, n, k):
     # a walk may start from any avoiding word, canonical or not
-    bases = [w for w in _preorder(_TRACKERS[mode](n, k), k) if 1 <= len(w) <= 3]
+    bases = [w for w in _preorder(_TRACKERS[reference](n, k), k) if 1 <= len(w) <= 3]
     for base in bases:
-        expected = _reference(mode, n, k, base)
+        expected = _reference(reference, n, k, base)
         for budget in [None, *range(1, len(expected) + 1)]:
             cert = expected[-1 if budget is None else budget - 1]
-            tracker = _TRACKERS[mode](n, k)
+            tracker = search_module._make_tracker(_mode(reference), n, k)
             assert all(tracker.try_push(c) for c in base)
-            got = search_module._depth_first(tracker, k, budget)
+            got = search_module._depth_first(tracker, budget)
             expected_result = (cert.max_avoiding_length, cert.witness, cert.exhausted, cert.nodes_explored)
             assert got == expected_result, (base, budget)
 
@@ -408,8 +415,8 @@ def test_periodic_checkpoints_pass_every_multiple(tmp_path, monkeypatch):
 
 
 def test_periodic_checkpoint_at_a_depth_record_holds_the_best_word(tmp_path, monkeypatch):
-    # the first nodes of f(4,2) are each a new depth record, whose word the
-    # search copies only when it leaves the node or writes a checkpoint
+    # the first nodes of f(4,2) are each a new depth record, where the best
+    # word is the path
     ck = tmp_path / "run.json"
     write = search_module._write_checkpoint
     states = []
@@ -427,6 +434,65 @@ def test_periodic_checkpoint_at_a_depth_record_holds_the_best_word(tmp_path, mon
     assert states[-1]["best_witness"] == cert.witness
     monkeypatch.undo()
     assert longest_avoiding(4, 2, max_nodes=25, checkpoint_path=str(ck), resume=True) == cert
+
+
+def test_periodic_checkpoint_after_pops_from_a_record_holds_the_record(tmp_path, monkeypatch):
+    # the path is back at the record's depth on another branch: the file
+    # holds the record, the letters of which past the branch point the
+    # search keeps apart from the path
+    ck = tmp_path / "run.json"
+    write = search_module._write_checkpoint
+    copies = []
+
+    def keep(path, *args):
+        write(path, *args)
+        copies.append(shutil.copy(path, tmp_path / f"copy{len(copies)}.json"))
+
+    monkeypatch.setattr(search_module, "_write_checkpoint", keep)
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 7)
+    plain = longest_avoiding(3, 2, max_nodes=100)
+    assert longest_avoiding(3, 2, max_nodes=100, checkpoint_path=str(ck)) == plain
+    monkeypatch.undo()
+    apart = []
+    for copy in copies:
+        state = load_checkpoint(copy)
+        if state["best_length"] == len(state["path"]) and state["best_witness"] != state["path"]:
+            apart.append(state["nodes_explored"])
+            assert state["best_witness"] < state["path"]
+            assert longest_avoiding(3, 2, max_nodes=100, checkpoint_path=str(copy), resume=True) == plain
+    assert apart == [28, 91]
+
+
+def test_best_word_is_built_once_per_checkpoint_and_at_the_end(tmp_path, monkeypatch):
+    # pops do not copy the path: a new depth record and the pops after it
+    # cost O(1) each, however deep the walk
+    slices = []
+
+    class Word(list):
+        def __getitem__(self, index):
+            if isinstance(index, slice):
+                slices.append(index)
+            return super().__getitem__(index)
+
+    write = search_module._write_checkpoint
+    writes = []
+
+    def keep(path, *args):
+        writes.append(args[-2])
+        write(path, *args)
+
+    monkeypatch.setattr(search_module, "_write_checkpoint", keep)
+    monkeypatch.setattr(search_module, "CHECKPOINT_EVERY", 5_000)
+    for checkpoint_path in (None, str(tmp_path / "run.json")):
+        slices.clear()
+        tracker = ZiminSuffixTracker(5, 2)
+        tracker.word = Word()
+        best_len, best, exhausted, nodes = search_module._depth_first(
+            tracker, 20_000, checkpoint_path=checkpoint_path, meta={}
+        )
+        assert (best_len, len(best), exhausted, nodes) == (19_916, 19_916, False, 20_000)
+        assert len(slices) <= (len(writes) if checkpoint_path else 0) + 1
+    assert writes == [5_000, 10_000, 15_000, 20_000]
 
 
 def test_resume_writes_no_checkpoint_it_was_read_from(tmp_path, monkeypatch):
@@ -516,6 +582,48 @@ def test_resumed_best_witness_is_rechecked(tmp_path, witness, length):
     ck = _tampered_checkpoint(tmp_path, best_witness=witness, best_length=length)
     with pytest.raises(ValueError):
         longest_avoiding(3, 2, checkpoint_path=str(ck), resume=True)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # a letter present before the smallest absent one: its child u is untried
+        {"skip_state": [-1, 3, 0, 0]},
+        # the smallest absent letter: its subtree is open (the forged f(3,2) = 28)
+        {"path": "011", "skip_state": [0, 0, 0], "best_witness": "011", "best_length": 3},
+        {"skip_state": [2, 0, 0, 0]},
+        # a letter above the smallest absent one must already occur
+        {"path": "02", "skip_state": [-1, 0], "best_witness": "02", "best_length": 2, "k": 3},
+        # the deepest node has not reached its child u
+        {"skip": 2},
+    ],
+    ids=["below-u", "at-u", "at-u-positive", "absent-above-u", "deepest"],
+)
+def test_resume_refuses_skips_that_contradict_the_path(tmp_path, fields):
+    # the f(3,2) checkpoint at 5 nodes: path 0000, skips [-1, 0, 0, 0]
+    ck = tmp_path / "run.json"
+    k = fields.get("k", 2)  # the file names k too
+    longest_avoiding(3, k, max_nodes=5, checkpoint_path=str(ck))
+    data = json.loads(ck.read_text())
+    data.update(fields)
+    ck.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="skip"):
+        longest_avoiding(3, k, max_nodes=1_000, checkpoint_path=str(ck), resume=True)
+
+
+def test_resume_skip_rule_above_u_from_a_base_word():
+    # from the non-canonical word 1 over three letters, u = 0 and the
+    # present letter 1 follows its closed child 0, whose size is >= 0
+    def resume(skip):
+        tracker = ZiminSuffixTracker(3, 3)
+        assert tracker.try_push(1)
+        state = {"path": "11", "skip_state": [skip], "next_letter": 0, "skip": 0,
+                 "best_length": 2, "best_witness": "11", "nodes_explored": 5}
+        return search_module._depth_first(tracker, 5, resume=state)
+
+    assert resume(0) == (2, "11", False, 5)
+    with pytest.raises(ValueError, match="skip_state"):
+        resume(-1)
 
 
 def test_zero_budgets_are_allowed():
