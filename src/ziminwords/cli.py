@@ -13,34 +13,18 @@ resource exhaustion.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import os
 import sys
 import time
-from fractions import Fraction
+from numbers import Rational
 
-from . import abelian as ab
-from . import verify as vf
-from .coding import encoded_counter, is_simple, parses, psi
-from .counters import DEFAULT_SYMBOL_CAP, counter, counter_stream
 from .errors import ResourceLimitError
-from .search import (
-    counter_witness_bounds,
-    first_moment_threshold,
-    longest_avoiding,
-    match_count_enumerated,
-    match_probability,
-)
-from .words import DEFAULT_DIGIT_CAP, RankedWord
-from .zimin import (
+from .words import (
+    DEFAULT_DIGIT_CAP,
     DEFAULT_INDEX_LENGTH_CAP,
     DEFAULT_ZIMIN_PATTERN_CAP,
-    Pattern,
-    encounters,
-    is_unavoidable,
-    zimin_index,
-    zimin_type,
+    RankedWord,
 )
 
 EXIT_OK = 0
@@ -57,6 +41,8 @@ def _decimal(x: int) -> str:
     x = hi * 2^w + lo is converted half by half, and the halves are joined
     by decimal's exact arithmetic, whose multiplication is quasi-linear.
     """
+    import decimal
+
     if x < 0:
         return "-" + _decimal(-x)
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
@@ -75,7 +61,9 @@ def _decimal(x: int) -> str:
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
+    # a Fraction, tested without importing fractions, which only the
+    # commands that make one load
+    if isinstance(x, Rational) and not isinstance(x, int):
         return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
     if isinstance(x, int) and abs(x) >= 2**53:
         return _decimal(x)
@@ -83,7 +71,7 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple, range)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (RankedWord, Pattern)):
+    if isinstance(x, RankedWord):
         return str(x)
     return x
 
@@ -126,6 +114,8 @@ def _run_checks(checks, stream=None) -> tuple[dict, int]:
 
 
 def _cmd_zimin(args):
+    from .zimin import Pattern, encounters, is_unavoidable, zimin_index, zimin_type
+
     if args.zimin_cmd == "type":
         return {"result": zimin_type(_word_arg(args))}, EXIT_OK
     if args.zimin_cmd == "index":
@@ -149,6 +139,8 @@ def _cmd_zimin(args):
 
 
 def _cmd_counters(args):
+    from .counters import DEFAULT_SYMBOL_CAP, counter, counter_stream
+
     if args.counters_cmd == "make":
         if args.stream:
             try:
@@ -161,7 +153,9 @@ def _cmd_counters(args):
         w = counter(args.index, args.order, symbol_cap=cap)
         return {"result": str(w), "length": len(w)}, EXIT_OK
     if args.counters_cmd == "check":
-        return _run_checks(vf.counter_suite(args.order) + [vf.check_counter_zimin_for_order(args.order)])
+        from .verify import check_counter_zimin_for_order, counter_suite
+
+        return _run_checks(counter_suite(args.order) + [check_counter_zimin_for_order(args.order)])
     raise AssertionError
 
 
@@ -174,6 +168,8 @@ def _counter_arg(text: str) -> tuple[int, int]:
 
 
 def _cmd_psi(args):
+    from .coding import encoded_counter, is_simple, parses, psi
+
     if args.psi_cmd == "encode":
         if args.counter:
             index, order = _counter_arg(args.counter)
@@ -190,12 +186,16 @@ def _cmd_psi(args):
     if args.psi_cmd == "simple":
         return {"result": is_simple(args.word)}, EXIT_OK
     if args.psi_cmd == "verify-lemmas":
-        return _run_checks(vf.psi_suite(args.scale))
+        from .verify import psi_suite
+
+        return _run_checks(psi_suite(args.scale))
     raise AssertionError
 
 
 def _cmd_regular(args):
-    return _run_checks(vf.check_regular_identities())
+    from .verify import check_regular_identities
+
+    return _run_checks(check_regular_identities())
 
 
 def _certificate_report(cert, value_name):
@@ -215,6 +215,8 @@ def _certificate_report(cert, value_name):
 
 
 def _cmd_search(args):
+    from .search import longest_avoiding
+
     cert = longest_avoiding(
         args.n,
         args.k,
@@ -227,9 +229,16 @@ def _cmd_search(args):
 
 
 def _cmd_abelian(args):
+    from . import abelian as ab
+
     if args.abelian_cmd == "g":
         value, cert = ab.g_value(
-            args.n, args.k, max_nodes=args.budget_nodes, max_seconds=args.budget_seconds
+            args.n,
+            args.k,
+            max_nodes=args.budget_nodes,
+            max_seconds=args.budget_seconds,
+            checkpoint_path=getattr(args, "checkpoint", None),
+            resume=getattr(args, "resume", False),
         )
         return _certificate_report(cert, "g")
     if args.abelian_cmd == "bounds":
@@ -243,11 +252,15 @@ def _cmd_abelian(args):
         }
         return report, EXIT_OK
     if args.abelian_cmd == "oracles":
-        return _run_checks(vf.check_abelian_suite())
+        from .verify import check_abelian_suite
+
+        return _run_checks(check_abelian_suite())
     raise AssertionError
 
 
 def _cmd_bounds(args):
+    from .search import counter_witness_bounds
+
     if args.indices is not None and args.indices <= 0:
         raise ValueError(f"--indices takes a positive count N (indices 0..N-1), got {args.indices}")
     return {
@@ -260,6 +273,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_moment(args):
+    from .search import first_moment_threshold, match_count_enumerated, match_probability
+
     cap = DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap
     report = {
         "match_probability": match_probability(args.n, args.k, cap),
@@ -272,7 +287,9 @@ def _cmd_moment(args):
 
 
 def _cmd_verify(args):
-    return _run_checks(vf.run_suite(args.scale), sys.stdout if args.lines else None)
+    from .verify import run_suite
+
+    return _run_checks(run_suite(args.scale), sys.stdout if args.lines else None)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--budget-nodes", type=int, default=None)
     q.add_argument("--budget-seconds", type=float, default=None)
+    # under the report's inputs only when given: the report of a run
+    # without them names no checkpoint
+    q.add_argument("--checkpoint", default=argparse.SUPPRESS)
+    q.add_argument("--resume", action="store_true", default=argparse.SUPPRESS)
     q.set_defaults(handler=_cmd_abelian)
     q = asub.add_parser("bounds")
     q.add_argument("--n", type=int, required=True)

@@ -16,6 +16,14 @@ from .errors import ResourceLimitError
 
 # Guards against runaway big-integer growth (tower values, counter lengths).
 DEFAULT_DIGIT_CAP = 10**6
+# The Zimin caps live here, beside the digit cap, so that the CLI's help can
+# name them without loading zimin.
+# most distinct variables of a pattern for is_unavoidable, and most n for
+# zimin_pattern(n), which has 2^n - 1 positions
+DEFAULT_ZIMIN_PATTERN_CAP = 25
+# zimin_index costs about |w|^2 steps on periodic words, all in the walk
+# down suffix links that finds B: a^4000 takes about 0.4 s, a^10000 2.8 s
+DEFAULT_INDEX_LENGTH_CAP = 4_000
 
 
 class RankedSymbol(NamedTuple):

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
-
-# most distinct variables of a pattern for is_unavoidable, and most n for
-# zimin_pattern(n), which has 2^n - 1 positions
-DEFAULT_ZIMIN_PATTERN_CAP = 25
-# zimin_index costs about |w|^2 steps on periodic words, all in the walk
-# down suffix links that finds B: a^4000 takes about 0.4 s, a^10000 2.8 s
-DEFAULT_INDEX_LENGTH_CAP = 4_000
+from .words import DEFAULT_INDEX_LENGTH_CAP, DEFAULT_ZIMIN_PATTERN_CAP
 
 
 @dataclass(frozen=True, slots=True)

@@ -165,6 +165,26 @@ def test_abelian_g_command(capsys):
     code, report = invoke(["abelian", "g", "--n", "2", "--k", "2"], capsys)
     assert code == EXIT_OK
     assert report["g"] == 5
+    # --checkpoint and --resume appear under inputs only when given
+    assert list(report["inputs"]) == ["abelian_cmd", "budget_nodes", "budget_seconds", "cmd", "k", "n"]
+
+
+def test_abelian_g_checkpoint_resumes_to_the_plain_certificate(tmp_path):
+    ck = tmp_path / "g.json"
+    g = ["abelian", "g", "--n=3", "--k=2"]
+    code, plain, _ = _run_in_process([*g, "--budget-nodes=1000"])
+    assert code == EXIT_RESOURCE
+    assert _run_in_process([*g, "--budget-nodes=500", f"--checkpoint={ck}"])[0] == EXIT_RESOURCE
+    assert json.loads(ck.read_text())["nodes_explored"] == 500
+    code, resumed, err = _run_in_process([*g, "--budget-nodes=1000", f"--checkpoint={ck}", "--resume"])
+    _assert_one_json_line(code, resumed, err)
+    assert code == EXIT_RESOURCE
+    assert json.loads(resumed)["certificate"] == json.loads(plain)["certificate"]
+    assert json.loads(resumed)["inputs"]["resume"] is True
+    # the resume reads its file: a missing one is a usage error
+    code, out, err = _run_in_process([*g, f"--checkpoint={tmp_path / 'none.json'}", "--resume"])
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_USAGE
 
 
 def test_abelian_bounds_command(capsys):
