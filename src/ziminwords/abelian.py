@@ -19,12 +19,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import factorial
+from itertools import chain, combinations, product, repeat
 from typing import Iterator, Optional, Sequence
 
 from .errors import ResourceLimitError
-from .words import DEFAULT_DIGIT_CAP, guarded_power
+from .words import DEFAULT_DIGIT_CAP, guarded_power, power_exceeds
 from .zimin import zimin_pattern
 
 
@@ -244,14 +243,19 @@ def g_lower_bound(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
     """k^(floor(2^n / (n+2)) - 1), a strict lower bound on g(n, k)."""
     if n < 2 or k < 2:
         raise ValueError("stated for n >= 2 and k >= 2")
-    return guarded_power(k, 2**n // (n + 2) - 1, digit_cap)
+    return guarded_power(k, guarded_power(2, n, digit_cap) // (n + 2) - 1, digit_cap)
 
 
 def g_upper_bound(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
     """Closed-form doubly-exponential upper bound 2^((4k)^n (n-1)!)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return guarded_power(2, (4 * k) ** n * factorial(n - 1), digit_cap)
+    exponent = 1
+    for factor in chain(repeat(4 * k, n), range(2, n)):
+        exponent *= factor
+        if exponent.bit_length() > 64:  # as guarded_power would, before the rest is built
+            raise ResourceLimitError(f"2**{{(4*{k})**{n} * {n - 1}!}} exceeds the digit cap")
+    return guarded_power(2, exponent, digit_cap)
 
 
 def g_upper_recurrence(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
@@ -284,9 +288,11 @@ def claim1_probability(k: int, h: int, m: int, cap: int = 5_000_000) -> Fraction
     abelian-equivalent, by full enumeration of the k^(h m) tuples."""
     if k < 2 or h < 1 or m < 2:
         raise ValueError("need k >= 2, h >= 1, m >= 2")
+    if power_exceeds(k, h * m, cap):
+        raise ResourceLimitError(
+            f"enumerating the {m}-tuples of words of length {h} over {k} letters exceeds the cap of {cap}"
+        )
     total = k ** (h * m)
-    if total > cap:
-        raise ResourceLimitError(f"{total} tuples exceed the enumeration cap {cap}")
     words = list(product(range(k), repeat=h))
     hits = 0
     for tup in product(words, repeat=m):
@@ -304,9 +310,9 @@ def claim2_probability(n: int, k: int, lam: AbelianAssignment, cap: int = 5_000_
     """Exact probability that (0, lam) is an abelian occurrence of Z_n in a
     uniform word of length width(lam), by full enumeration."""
     width = lam.width
+    if power_exceeds(k, width, cap):
+        raise ResourceLimitError(f"enumerating the words of length {width} over {k} letters exceeds the cap of {cap}")
     total = k**width
-    if total > cap:
-        raise ResourceLimitError(f"{total} words exceed the enumeration cap {cap}")
     hits = 0
     for w in product(range(k), repeat=width):
         if abelian_occurrence(w, 0, n, lam):

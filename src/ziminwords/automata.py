@@ -10,7 +10,9 @@ reachable from a start breadth-first in alphabet order.  The states are
 regexes for ``from_regex`` (a regex steps to its Brzozowski derivative and
 accepts when it is nullable), pairs of states for the products, sets of
 states for ``concat`` and ``star``, and blocks of the refined partition for
-``minimize``.
+``minimize``.  Every question about the graph reads one table, ``_reaches``,
+whose row r marks the states from which a word of exactly r letters is
+accepted: the live states, finiteness and the pruning of the enumeration.
 
 Regexes are literals over the alphabet, ``|``, ``*``, parentheses and empty
 alternatives, as in ``(|0|1)(01)*00``; ``+``, ``?`` and ``{m,n}`` are
@@ -51,7 +53,10 @@ class Dfa:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "accepting", accepting)
-        object.__setattr__(self, "live", _live_states(delta, accepting))
+        # a shortest accepted word visits no state twice, so it has fewer
+        # than n letters
+        rows = _reaches(delta, accepting, len(delta) - 1)
+        object.__setattr__(self, "live", frozenset(q for q, column in enumerate(zip(*rows)) if any(column)))
         object.__setattr__(self, "step", tuple({c: row[alphabet.index(c)] for c in alphabet} for row in delta))
 
     def __setattr__(self, name, value):
@@ -117,11 +122,6 @@ def _explore(alphabet: tuple, start, step, accepting) -> Dfa:
             row.append(index[t])
         delta.append(row)
     return Dfa(alphabet, delta, 0, [i for i, state in enumerate(order) if accepting(state)])
-
-
-def _trim(dfa: Dfa) -> Dfa:
-    """The reachable part of dfa, renumbered breadth-first."""
-    return _explore(dfa.alphabet, dfa.start, lambda q, c: dfa.step[q][c], dfa.accepting.__contains__)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +258,10 @@ def from_regex(text: str, alphabet="01") -> Dfa:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Canonical minimal DFA via partition refinement on reachable states."""
-    reach = _trim(dfa)
-    delta, accepting = reach.delta, reach.accepting
-    n = reach.n_states
+    """Canonical minimal DFA via partition refinement; the final numbering
+    never visits the blocks of states the start cannot reach."""
+    delta, accepting = dfa.delta, dfa.accepting
+    n = dfa.n_states
 
     block = [int(q in accepting) for q in range(n)]
     n_blocks = len(set(block))
@@ -281,7 +281,7 @@ def minimize(dfa: Dfa) -> Dfa:
     # canonical numbering: breadth-first from the start block in alphabet order
     rep = {b: q for q, b in enumerate(block)}
     return _explore(
-        dfa.alphabet, block[0], lambda b, c: block[reach.step[rep[b]][c]], lambda b: rep[b] in accepting
+        dfa.alphabet, block[dfa.start], lambda b, c: block[dfa.step[rep[b]][c]], lambda b: rep[b] in accepting
     )
 
 
@@ -358,27 +358,24 @@ def star(a: Dfa) -> Dfa:
 # language inspection
 
 
-def _live_states(delta, accepting) -> frozenset:
-    """The states from which some word is accepted."""
-    live = set(accepting)
-    grow = True
-    while grow:
-        grow = False
-        for q, row in enumerate(delta):
-            if q not in live and any(t in live for t in row):
-                live.add(q)
-                grow = True
-    return frozenset(live)
+def _reaches(delta, accepting, steps) -> list[list[bool]]:
+    """Row r, for r = 0..steps, marks the states from which some word of
+    exactly r letters is accepted."""
+    rows = [[q in accepting for q in range(len(delta))]]
+    first = {}
+    for r in range(steps):
+        last = rows[r]
+        # a row that repeats row j is followed by the row that followed j
+        j = first.setdefault(tuple(last), r)
+        rows.append(rows[j + 1] if j < r else [any(last[t] for t in row) for row in delta])
+    return rows
 
 
 def enumerate_language(
     dfa: Dfa, max_len: int, max_count: int = DEFAULT_ENUMERATION_CAP
 ) -> list[str]:
     """All accepted words of length <= max_len in length-then-lex order."""
-    # can[r][q]: some accepting state reachable from q in exactly r steps
-    can = [[q in dfa.accepting for q in range(dfa.n_states)]]
-    for _ in range(max_len):
-        can.append([any(can[-1][t] for t in row) for row in dfa.delta])
+    can = _reaches(dfa.delta, dfa.accepting, max_len)
     out: list[str] = []
     symbols = [str(c) for c in dfa.alphabet]
 
@@ -404,14 +401,11 @@ def enumerate_language(
 
 
 def is_finite(dfa: Dfa) -> bool:
-    """No cycle lies on a path from the start to an accepting state."""
-    reach = _trim(dfa)
-    # the useful states (reachable and live) span no cycle iff peeling off
-    # the states without a useful successor eventually removes them all
-    useful = set(reach.live)
-    while useful:
-        sinks = {q for q in useful if useful.isdisjoint(reach.delta[q])}
-        if not sinks:
-            return False
-        useful -= sinks
-    return True
+    """No accepted word has a length in [n, 2n), n the number of states.
+
+    An accepted word of n letters or more repeats a state, so pumping its
+    loop gives infinitely many; and one of 2n or more keeps n or more when
+    a loop of at most n letters is cut out of it."""
+    n = dfa.n_states
+    rows = _reaches(dfa.delta, dfa.accepting, 2 * n - 1)
+    return not any(row[dfa.start] for row in rows[n:])

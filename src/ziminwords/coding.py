@@ -14,7 +14,6 @@ exactly one parse (l, u, r) in L x Sigma* x R with value l psi(u) r.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -68,10 +67,15 @@ def language_dfas() -> LanguageDfas:
     )
 
 
+def _check_binary(a: str):
+    bad = a.strip("01")
+    if bad:
+        raise ValueError(f"symbol {bad[0]!r} not in alphabet ('0', '1')")
+
+
 def is_simple(a: str) -> bool:
     """len < 11, or a strict infix of one code, or containing a 10-run."""
-    if a.strip("01"):
-        raise ValueError(f"symbol {a.strip('01')[0]!r} not in alphabet 01")
+    _check_binary(a)
     if len(a) < SIMPLE_LENGTH_THRESHOLD:
         return True
     if "0" * RUN_LENGTH_THRESHOLD in a or "1" * RUN_LENGTH_THRESHOLD in a:
@@ -94,8 +98,7 @@ class Parse(NamedTuple):
         return f"({self.left or 'e'}, {str(self.center) or 'e'}, {self.right or 'e'})"
 
 
-@dataclass(frozen=True)
-class ParseContext:
+class ParseContext(NamedTuple):
     """The infix of the host word spanned by a parse occurrence.
 
     Covers the center plus one extra symbol on each side on which the
@@ -135,9 +138,7 @@ def parses(a: str) -> list[Parse]:
     infixes of coded words admit exactly one parse; unparseable words
     give [].
     """
-    bad = a.strip("01")
-    if bad:
-        raise ValueError(f"symbol {bad[0]!r} not in alphabet ('0', '1')")
+    _check_binary(a)
     out = []
     for i in language_dfas().L.accepting_prefixes(a):
         m = _TAIL.fullmatch(a, i)

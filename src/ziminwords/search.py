@@ -40,12 +40,10 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .counters import counter
 from .errors import ResourceLimitError
-from .words import DEFAULT_DIGIT_CAP, guarded_power, tau
+from .words import DEFAULT_DIGIT_CAP, guarded_power, power_exceeds, tau
 from .zimin import ZiminSuffixTracker, matches, zimin_index, zimin_pattern
 
 CHECKPOINT_VERSION = 3
@@ -238,8 +236,8 @@ def _write_checkpoint(path, tracker, saved, cur, skip, best_len, best, nodes, me
     # directory is synced so that the replacement is too
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        # one C-encoded string: json.dump's chunked encoder is pure Python
+        fh.write(json.dumps(payload) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -363,18 +361,25 @@ def match_probability(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> Fra
     and forced at its other 2^(n-i) - 1 ones.  Raises ResourceLimitError
     when the denominator would exceed ``digit_cap`` decimal digits.
     """
+    from fractions import Fraction
+
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    return Fraction(1, guarded_power(k, 2**n - n - 1, digit_cap))
+    return Fraction(1, guarded_power(k, guarded_power(2, n, digit_cap) - n - 1, digit_cap))
 
 
 def match_count_enumerated(n: int, k: int, cap: int = 2_000_000) -> tuple[int, int]:
     """(matching words, all words) of length 2^n - 1 over [k], by enumeration."""
-    total = k ** (2**n - 1)
-    if total > cap:
-        raise ResourceLimitError(f"enumerating {total} words exceeds the cap {cap}")
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
+    # refused before 2^n is built: a length of n letters already has 2^n words
+    if n >= cap.bit_length() or power_exceeds(k, 2**n - 1, cap):
+        raise ResourceLimitError(
+            f"enumerating the words of length 2**{n} - 1 over {k} letters exceeds the cap of {cap}"
+        )
+    length = 2**n - 1
     z = zimin_pattern(n)
-    return sum(matches(w, z) is not None for w in itertools.product(range(k), repeat=2**n - 1)), total
+    return sum(matches(w, z) is not None for w in itertools.product(range(k), repeat=length)), k**length
 
 
 def first_moment_threshold(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
@@ -382,7 +387,8 @@ def first_moment_threshold(n: int, k: int, digit_cap: int = DEFAULT_DIGIT_CAP) -
     Z_n occurrences in a random word reaches 1."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    return guarded_power(k, 2**n - n - 1, digit_cap) + 2**n
+    two_to_n = guarded_power(2, n, digit_cap)
+    return guarded_power(k, two_to_n - n - 1, digit_cap) + two_to_n
 
 
 def counter_witness_bounds(order: int, *, encoded: bool = False, indices=None) -> dict:
@@ -410,7 +416,9 @@ def counter_witness_bounds(order: int, *, encoded: bool = False, indices=None) -
         kind, length_key, default = "encoded", "encoded_length", range(tau(order) if order <= 3 else 256)
         bound, n, k = order + 1, order + 2, 2
     else:
-        kind, length_key, build, default = "ranked", "counter_length", counter, [0]
+        from .counters import counter as build
+
+        kind, length_key, default = "ranked", "counter_length", [0]
         bound, n, k = order - 1, order, 2 * order - 1
     if indices is None:
         indices = default

@@ -162,6 +162,15 @@ def _check_digits(base: int, exponent: int, digit_cap: int):
         )
 
 
+def power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """Whether base**exponent > bound, for exponent >= 0.  For base >= 2 the
+    power is at least 2**exponent, so a large exponent is decided without
+    building the power."""
+    if base >= 2 and exponent >= bound.bit_length():
+        return True
+    return base**exponent > bound
+
+
 def guarded_power(base: int, exponent: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
     """base**exponent, refusing results beyond the digit cap."""
     if base < 2 or exponent < 0:

@@ -26,6 +26,7 @@ from ziminwords.abelian import (
     g_value,
     parikh,
 )
+from ziminwords.errors import ResourceLimitError
 from ziminwords.search import longest_avoiding
 
 
@@ -164,6 +165,14 @@ def test_g_upper_bounds():
             assert g_upper_recurrence(n, k) <= g_upper_bound(n, k)
 
 
+def test_bounds_refuse_a_huge_n_before_building_it_up():
+    for bound in (g_lower_bound, g_upper_bound):
+        with pytest.raises(ResourceLimitError):
+            bound(10**12, 2)
+    with pytest.raises(ResourceLimitError, match=r"2\*\*\{\(4\*2\)\*\*20 \* 19!\}"):
+        g_upper_bound(20, 2)
+
+
 def test_delta_upper_bound_values():
     assert delta_upper_bound(2, 2, 3) == Fraction(81, 2)
     assert delta_upper_bound(3, 2, 10) == Fraction(10**5, 2**4)
@@ -177,6 +186,14 @@ def test_claim1_probabilities():
         for h in (1, 2, 3):
             for m in (2, 3):
                 assert claim1_probability(k, h, m) <= claim1_bound(k, m)
+
+
+def test_claim_enumerations_refuse_before_counting():
+    # 2**20000 tuples: the count has more digits than str() prints
+    with pytest.raises(ResourceLimitError, match="words of length 10000 over 2 letters"):
+        claim1_probability(2, 10_000, 2)
+    with pytest.raises(ResourceLimitError, match="length 30 over 2 letters"):
+        claim2_probability(2, 2, AbelianAssignment((10, 10)))
 
 
 def test_claim2_probabilities():

@@ -202,3 +202,50 @@ def test_finiteness():
     # unreachable cycles do not count
     assert au.is_finite(au.intersect(au.from_regex("0*"), au.from_regex("1")))
 
+
+
+def _walk(delta, q):
+    """The states reachable from q in zero or more steps, following delta."""
+    seen, todo = {q}, [q]
+    while todo:
+        for t in delta[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def _after_unreachable_copy(d, other):
+    """other, then d shifted past it, started at the start of d: the states
+    of other are unreachable."""
+    shift = other.n_states
+    delta = list(other.delta) + [tuple(t + shift for t in row) for row in d.delta]
+    accepting = set(other.accepting) | {q + shift for q in d.accepting}
+    return au.Dfa(d.alphabet, delta, d.start + shift, accepting)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_regexes, _regexes)
+@example("0*1", "(0|1)*")
+@example("0101|11", "0*")
+@example("0*", "0101|11")
+def test_live_and_finiteness_match_a_walk_of_delta(regex, other):
+    d = _after_unreachable_copy(au.from_regex(regex), au.from_regex(other))
+    reach = {q: _walk(d.delta, q) for q in range(d.n_states)}
+    assert d.live == {q for q in range(d.n_states) if reach[q] & d.accepting}
+    # infinite iff a state on a cycle lies between the start and acceptance
+    on_cycle = {q for q in range(d.n_states) if any(q in reach[t] for t in d.delta[q])}
+    infinite = any(q in on_cycle and q in d.live for q in reach[d.start])
+    assert au.is_finite(d) == (not infinite), regex
+    assert au.is_finite(d) == au.is_finite(au.from_regex(regex))
+
+
+def test_minimize_ignores_unreachable_states():
+    # words ending in 1: the start 1 and state 2 are reachable; 0 is an
+    # accepting sink, 3 and 4 copy 1 and 2, and 5 leads into both
+    delta = [(0, 0), (1, 2), (1, 2), (3, 4), (3, 4), (1, 0)]
+    d = au.Dfa("01", delta, 1, {0, 2, 4})
+    reachable = au.Dfa("01", [(0, 1), (0, 1)], 0, {1})
+    got, want = au.minimize(d), au.minimize(reachable)
+    assert (got.delta, got.accepting, got.start) == (want.delta, want.accepting, want.start)
+    assert (got.delta, got.accepting) == (((0, 1), (0, 1)), {1})

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,23 @@ def test_order_6_counters_are_over_the_symbol_cap(argv):
     _assert_one_json_line(code, out, err)
     assert code == EXIT_RESOURCE
     assert json.loads(out)["error"] == "order-6 counters are longer than the cap of 10000000 symbols"
+
+
+def test_enumeration_over_the_count_cap_names_the_length_not_the_count():
+    # 2**16383 words: the count has more digits than str() prints
+    code, out, err = _run_in_process(["search", "moment", "--n", "14", "--k", "2", "--enumerate"])
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_RESOURCE
+    assert len(out) < 200 and "2**14 - 1" in out
+
+
+@pytest.mark.parametrize("command", ["search moment", "abelian bounds"])
+def test_huge_n_is_refused_before_2_to_the_n_is_built(command):
+    start = time.perf_counter()
+    code, out, err = _run_in_process([*command.split(), "--n", "1000000000000", "--k", "2"])
+    assert time.perf_counter() - start < 1
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_RESOURCE
 
 
 def test_search_f_small(capsys):
@@ -401,6 +419,12 @@ def test_psi_parses_non_binary_is_usage_error(word, stdout):
     assert code == EXIT_USAGE
     assert out == stdout
     assert "Traceback" not in err
+
+
+def test_psi_simple_and_parses_name_a_bad_symbol_alike():
+    simple, parsed = _run_in_process(["psi", "simple", "0000002"]), _run_in_process(["psi", "parses", "0000002"])
+    assert simple == parsed
+    assert simple[:2] == (EXIT_USAGE, """{"command": "psi", "error": "symbol '2' not in alphabet ('0', '1')"}\n""")
 
 
 def test_psi_parses_stdout_is_pinned():

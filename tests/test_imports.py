@@ -29,6 +29,17 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, {LOADED}]))
 """
 
+# every module a command loads, the standard library's too, against a
+# baseline taken before the CLI is imported
+NEW_AFTER_COMMAND = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import ziminwords.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ziminwords.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
 PACKAGE_ONLY = f"""
 import json, sys
 import ziminwords
@@ -65,6 +76,24 @@ def test_search_loads_the_search_only():
     loaded = _loaded_after(["search", "f", "--n", "2", "--k", "2"])
     assert "ziminwords.search" in loaded
     assert not loaded & {"ziminwords.verify", "ziminwords.oracles", "ziminwords.abelian"}
+
+
+def _new_after(argv):
+    code, new = _fresh(NEW_AFTER_COMMAND, *argv)
+    assert code == 0
+    return set(new)
+
+
+def test_search_f_loads_no_counters_or_fractions():
+    new = _new_after(["search", "f", "--n", "2", "--k", "2"])
+    assert "ziminwords.search" in new
+    assert not new & {"ziminwords.counters", "fractions", "decimal"}
+
+
+def test_psi_parses_loads_no_dataclasses():
+    new = _new_after(["psi", "parses", "0000000000"])
+    assert "ziminwords.coding" in new
+    assert "dataclasses" not in new
 
 
 def test_the_package_loads_nothing_yet_lists_and_binds_every_export():

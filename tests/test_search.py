@@ -310,6 +310,12 @@ def test_match_count_enumerations():
         match_count_enumerated(4, 3)
 
 
+def test_first_moment_quantities_refuse_a_huge_n_before_building_2_to_the_n():
+    for quantity in (match_probability, first_moment_threshold, match_count_enumerated):
+        with pytest.raises(ResourceLimitError):
+            quantity(10**12, 2)
+
+
 def test_first_moment_threshold_values():
     assert first_moment_threshold(2, 2) == 6
     assert first_moment_threshold(3, 2) == 24
@@ -353,11 +359,11 @@ def test_checkpoint_survives_crash_mid_write(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
     before = ck.read_text()
 
-    def crash(payload, fh):
-        fh.write('{"version": 1, "pa')
+    def crash(fd):
+        os.ftruncate(fd, 18)  # only part of the new file reached the disk
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", crash)
+    monkeypatch.setattr(os, "fsync", crash)
     with pytest.raises(OSError):
         longest_avoiding(3, 2, max_nodes=400, checkpoint_path=str(ck))
     assert ck.read_text() == before
