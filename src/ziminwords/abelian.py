@@ -276,7 +276,9 @@ def delta_upper_bound(n: int, k: int, length: int) -> Fraction:
     abelian Z_n occurrences in a random word of the given length."""
     if n < 1 or k < 2 or length < 0:
         raise ValueError("need n >= 1, k >= 2, length >= 0")
-    return Fraction(length ** (n + 2), k ** (2**n - n - 1))
+    # 0 and 1 are their own powers, and guarded_power takes bases >= 2
+    occurrences = length if length < 2 else guarded_power(length, n + 2)
+    return occurrences * claim2_bound(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +305,11 @@ def claim1_probability(k: int, h: int, m: int, cap: int = 5_000_000) -> Fraction
 
 
 def claim1_bound(k: int, m: int) -> Fraction:
-    return Fraction(1, k ** (m - 1))
+    """1 / k^(m-1): bound on the probability that m uniform words over [k]
+    of one length are all abelian-equivalent."""
+    if k < 2 or m < 1:
+        raise ValueError("need k >= 2, m >= 1")
+    return Fraction(1, guarded_power(k, m - 1))
 
 
 def claim2_probability(n: int, k: int, lam: AbelianAssignment, cap: int = 5_000_000) -> Fraction:
@@ -321,4 +327,8 @@ def claim2_probability(n: int, k: int, lam: AbelianAssignment, cap: int = 5_000_
 
 
 def claim2_bound(n: int, k: int) -> Fraction:
-    return Fraction(1, k ** (2**n - n - 1))
+    """1 / k^(2^n - n - 1): bound on the probability that a fixed
+    assignment is an abelian occurrence of Z_n in a uniform word over [k]."""
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1, k >= 2")
+    return Fraction(1, guarded_power(k, guarded_power(2, n) - n - 1))

@@ -157,8 +157,10 @@ def _check_digits(base: int, exponent: int, digit_cap: int):
         )
     digits = exponent * math.log10(base)
     if digits > digit_cap:
+        # a huge base is named by its size: str() refuses ints of over 4,300 digits
+        shown = base if base.bit_length() <= 64 else f"{{{base.bit_length()}-bit base}}"
         raise ResourceLimitError(
-            f"{base}**{exponent} has ~{digits:.3g} digits, over the cap of {digit_cap}"
+            f"{shown}**{exponent} has ~{digits:.3g} digits, over the cap of {digit_cap}"
         )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,30 @@ def test_bounds_refuse_a_huge_n_before_building_it_up():
 def test_delta_upper_bound_values():
     assert delta_upper_bound(2, 2, 3) == Fraction(81, 2)
     assert delta_upper_bound(3, 2, 10) == Fraction(10**5, 2**4)
+    # lengths 0 and 1 are their own powers
+    assert delta_upper_bound(3, 2, 0) == 0
+    assert delta_upper_bound(3, 2, 1) == Fraction(1, 2**4)
+    assert claim1_bound(3, 1) == claim2_bound(1, 3) == 1
+
+
+def test_claim_bounds_refuse_before_building_the_power():
+    # k**(2**40 - 41) has about 3.3e11 digits; unguarded, n = 26 already
+    # took 0.3 s and 43 MB, doubling with each step of n
+    start = time.perf_counter()
+    for bound, args in [
+        (claim2_bound, (40, 2)),
+        (claim2_bound, (10**12, 2)),
+        (claim1_bound, (2, 10**12)),
+        (delta_upper_bound, (40, 2, 3)),
+        (delta_upper_bound, (10**12, 2, 1)),
+        (delta_upper_bound, (2, 2, 10**300_000)),
+    ]:
+        with pytest.raises(ResourceLimitError):
+            bound(*args)
+    assert time.perf_counter() - start < 0.1
+    # a base too long for str() is named by its size in the refusal
+    with pytest.raises(ResourceLimitError, match=r"\{1395636-bit base\}\*\*16"):
+        g_upper_recurrence(9, 2)
 
 
 def test_claim1_probabilities():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ziminwords import RankedWord, automata as au, counter, occurrences, sym, zimin_index
+from ziminwords import RankedWord, automata as au, coding, counter, occurrences, sym, zimin_index
 from ziminwords.coding import (
     Parse,
     context_of,
@@ -167,7 +167,11 @@ def _assert_parses_match_oracle(infix):
 
 
 def test_parses_match_all_splits_oracle():
+    # from a cleared chain cache and from a warm one, parses must agree
     for infix in _infixes_and_binary_words():
+        coding._decode_chain.cache_clear()
+        cold = parses(infix)
+        assert parses(infix) == cold, infix
         _assert_parses_match_oracle(infix)
 
 
@@ -218,6 +222,27 @@ def test_parses_of_long_and_pathological_words():
     assert (p.left, p.right) == ("00", "00010")
     assert p.center == RankedWord([sym(0, 1)] * 24_999)
     assert parses("01" * 50_000) == []
+
+
+def test_chain_cache_stays_bounded():
+    info = coding._decode_chain.cache_info
+    coding._decode_chain.cache_clear()
+    # every chain of 0^100000 is over the cached length, so none is kept
+    parses("0" * 100_000)
+    assert info().currsize == 0
+    # 0^128 has the chains (0000)^32 and (0000)^31; one more code adds the
+    # chain (0000)^33, which is over the cached length
+    longest = "0000" * (coding._CACHED_CHAIN_BITS // 4)
+    parses(longest)
+    assert info().currsize == 2
+    parses(longest + "0000")
+    assert info().currsize == 2
+    # codes of order 1 to 4 spell more distinct short chains than the cache holds
+    codes = [psi_symbol(sym(b, k)) for b in (0, 1) for k in range(1, 5)]
+    for chain in itertools.islice(itertools.product(codes, repeat=4), 2 * info().maxsize):
+        parses("".join(chain))
+    assert info().misses > info().maxsize
+    assert info().currsize <= info().maxsize
 
 
 def test_parse_contract():
