@@ -65,17 +65,6 @@ def _zimin_variables(n: int) -> tuple[int, ...]:
     return tuple(zimin_pattern(n))
 
 
-def _block_spans(j: int, n: int, lam: AbelianAssignment) -> list[tuple[int, int, int]]:
-    """(variable, start, end) for the 2^n - 1 blocks starting at offset j."""
-    spans = []
-    pos = j
-    for v in _zimin_variables(n):
-        ln = lam[v]
-        spans.append((v, pos, pos + ln))
-        pos += ln
-    return spans
-
-
 def abelian_occurrence(w: Sequence, j: int, n: int, lam: AbelianAssignment) -> bool:
     """Whether (j, lam) is an abelian occurrence of Z_n in w."""
     if lam.n != n:
@@ -83,12 +72,15 @@ def abelian_occurrence(w: Sequence, j: int, n: int, lam: AbelianAssignment) -> b
     if j < 0 or j + lam.width > len(w):
         raise ValueError(f"occurrence window [{j}, {j + lam.width}) outside the word")
     reference: dict[int, Counter] = {}
-    for v, a, b in _block_spans(j, n, lam):
+    a = j  # the 2^n - 1 blocks start at offset j, one after another
+    for v in _zimin_variables(n):
+        b = a + lam[v]
         vec = Counter(w[a:b])
         if v not in reference:
             reference[v] = vec
         elif reference[v] != vec:
             return False
+        a = b
     return True
 
 
@@ -121,6 +113,8 @@ def encounters_abelian_zimin(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if len(w).bit_length() < n:  # shorter than 2^(n-1): no room for 2^n - 1 blocks
+        return None
     min_width = 2**n - 1
     for j in range(len(w) - min_width + 1):
         for width in range(min_width, len(w) - j + 1):
@@ -186,6 +180,8 @@ class AbelianSuffixTracker:
         word.append(c)
         sums.append(sums[-1] + (1 << (_FIELD_BITS * c)))
         length = len(word)
+        if length.bit_length() < n:  # shorter than 2^(n-1): no room for 2^n - 1 blocks
+            return True
         total = sums[length]
         for h in range((1 << (n - 1)) - 1, (length - 1) // 2 + 1):
             right = length - h

@@ -11,10 +11,10 @@ unavoidable exactly when Z_n (read as a word over its variables)
 encounters it; ``is_unavoidable`` decides it by free-letter deletions
 instead, without building Z_n.
 
-``_prefix_types`` types every prefix of a word in one pass, for
-``zimin_type``.  ``ZiminSuffixTracker`` keeps the highest type among the
-suffixes of a word as each letter is appended and drives ``zimin_index``
-and the search.
+``zimin_type`` walks once down the border chain of its word, read off one
+prefix-function pass.  ``ZiminSuffixTracker`` keeps the highest type among
+the suffixes of a word as each letter is appended and drives
+``zimin_index`` and the search.
 """
 
 from __future__ import annotations
@@ -285,37 +285,32 @@ class ZiminSuffixTracker:
 _try_push = ZiminSuffixTracker.try_push
 
 
-def _prefix_types(v: Sequence) -> list[int]:
-    """types[i] = zimin_type(v[:i]) for 0 <= i <= len(v), in one pass:
-    type(u) = 1 + type(h(u)), h(u) the longest border of u shorter than
-    |u|/2 (or empty), as every shorter such border is a border of h(u) and
-    a border never has a larger type.  h is kept beside the prefix function
-    p, walking down the border chain of p."""
-    m = len(v)
-    p = [0] * (m + 1)  # p[i]: longest proper border of v[:i]
-    types = [0] + [1] * m
-    q = h = 0
+def zimin_type(w: Sequence) -> int:
+    """Largest n such that w matches Z_n; 0 for the empty word.
+
+    For non-empty u, type(u) = 1 + type(h(u)), h(u) the longest border of u
+    with 2|h(u)| < |u| (or empty): the decompositions u = a b a with b
+    non-empty are the borders a of u shorter than |u|/2, each is a border
+    of h(u), and a border never has a larger type.  The borders of a border
+    u of w are the entries below u on the border chain of w, so one walk
+    down that chain, from the prefix function of w, finds every h in turn.
+    """
+    v = _canon(w)
+    border = [0] * (len(v) + 1)  # border[i]: longest proper border of v[:i]
+    q = 0
     for i, x in enumerate(v[1:], 2):  # x ends the prefix of length i
         while q and v[q] != x:
-            q = p[q]
+            q = border[q]
         if v[q] == x:
             q += 1
-        p[i] = q
-        while h and v[h] != x:
-            h = p[h]
-        if v[h] == x:
-            h += 1
-        while 2 * h >= i:
-            h = p[h]
-        types[i] = 1 + types[h]
-    return types
-
-
-def zimin_type(w: Sequence) -> int:
-    """Largest n such that w matches Z_n; 0 for the empty word.  For
-    non-empty w it is 1 plus the maximum type over borders a of w with
-    2|a| < |w| (decompositions w = a b a, b non-empty)."""
-    return _prefix_types(_canon(w))[-1]
+        border[i] = q
+    t, u = 0, len(v)
+    while u:
+        a = border[u]
+        while 2 * a >= u:
+            a = border[a]
+        t, u = t + 1, a
+    return t
 
 
 def zimin_index(w: Sequence, max_length: Optional[int] = DEFAULT_INDEX_LENGTH_CAP) -> int:

@@ -174,6 +174,16 @@ def test_bounds_refuse_a_huge_n_before_building_it_up():
         g_upper_bound(20, 2)
 
 
+def test_a_huge_n_builds_no_huge_int_per_push():
+    # a word shorter than 2^(n-1) letters has no room for the 2^n - 1 blocks
+    # of Z_n, so neither the tracker nor the encounter test may build 2^(n-1)
+    start = time.perf_counter()
+    g, cert = g_value(10**12, 2, max_nodes=200)
+    assert g is None and cert.max_avoiding_length == 199
+    assert time.perf_counter() - start < 1
+    assert encounters_abelian_zimin("01" * 10, 10**12) is None
+
+
 def test_delta_upper_bound_values():
     assert delta_upper_bound(2, 2, 3) == Fraction(81, 2)
     assert delta_upper_bound(3, 2, 10) == Fraction(10**5, 2**4)

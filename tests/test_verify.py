@@ -1,15 +1,21 @@
 import pytest
 
 from ziminwords import verify
+from ziminwords.cli import EXIT_FAIL, EXIT_OK, run
 from ziminwords.counters import counter
 from ziminwords.verify import (
     CheckResult,
     check_boundary_theorem,
+    check_characterization,
     check_counter_structure,
     check_counter_zimin_exact,
     check_counter_zimin_for_order,
+    check_f32,
+    check_infix_code,
     check_log_bound,
+    check_match_probabilities,
     check_regular_identities,
+    check_simple_infix_bound,
     check_small_f_table,
     check_zimin_oracles,
     run_suite,
@@ -56,6 +62,55 @@ def test_log_bound_check():
 
 def test_small_f_table_checks():
     assert all(r.passed for r in check_small_f_table())
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_infix_code,
+        check_characterization,
+        check_simple_infix_bound,
+        check_f32,
+        check_match_probabilities,
+    ],
+)
+def test_fast_checks_pass(check):
+    results = check()
+    results = results if isinstance(results, list) else [results]
+    assert results and all(r.passed for r in results)
+
+
+def test_abelian_oracles_command():
+    # check_abelian_suite, through the command
+    code, report = run(["abelian", "oracles"])
+    assert code == EXIT_OK and report["all_passed"] is True
+
+
+@pytest.fixture
+def fast_parse_checks(monkeypatch):
+    # about 2.4 s each; criteria 07 and 08 check the same lemmas
+    for name in ("check_parse_counts_and_uniqueness", "check_occurrence_bijection"):
+        monkeypatch.setattr(verify, name, lambda name=name: [CheckResult(name, True)])
+
+
+def test_small_suite_passes(fast_parse_checks):
+    results = run_suite("small")
+    assert results and all(r.passed for r in results)
+
+
+def test_psi_lemmas_command(fast_parse_checks):
+    code, report = run(["psi", "verify-lemmas"])
+    assert code == EXIT_OK and report["all_passed"] is True
+    assert len(report["checks"]) == 5
+
+
+def test_verify_command_reports_a_failing_check(monkeypatch, capsys):
+    monkeypatch.setattr(
+        verify, "run_suite", lambda scale: [CheckResult("holds", True), CheckResult(scale, False)]
+    )
+    code, report = run(["verify", "--lines"])
+    assert code == EXIT_FAIL and report["all_passed"] is False
+    assert capsys.readouterr().out.splitlines() == ["PASS  holds", "FAIL  small"]
 
 
 def test_run_suite_rejects_bad_scale():

@@ -25,7 +25,7 @@ from ziminwords.oracles import (
     zimin_type_recursive,
 )
 from ziminwords.words import RankedWord, sym
-from ziminwords.zimin import DEFAULT_INDEX_LENGTH_CAP, _lengths, _prefix_types
+from ziminwords.zimin import DEFAULT_INDEX_LENGTH_CAP, _lengths
 
 
 def binary_words(max_len, min_len=0):
@@ -156,14 +156,10 @@ def test_type_and_index_agree_with_oracles_exhaustively():
 
 
 def test_prefix_types_agree_with_oracle_on_ternary_words():
-    # every ternary word of length <= 9 is a prefix of one of length 9
-    oracle: dict = {}
-    for w in itertools.product("abc", repeat=9):
-        got = _prefix_types(w)
-        for i in range(10):
-            if w[:i] not in oracle:
-                oracle[w[:i]] = zimin_type_recursive(w[:i])
-            assert got[i] == oracle[w[:i]], w[:i]
+    # every ternary word of length <= 9
+    for n in range(10):
+        for w in itertools.product("abc", repeat=n):
+            assert zimin_type(w) == zimin_type_recursive(w), w
 
 
 @settings(max_examples=300)
