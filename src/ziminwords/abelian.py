@@ -16,11 +16,9 @@ created by appending one letter necessarily ends at the last position.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product, repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimitError
 from .words import DEFAULT_DIGIT_CAP, guarded_power, power_exceeds
@@ -36,15 +34,15 @@ def abelian_equiv(u: Sequence, v: Sequence) -> bool:
     return len(u) == len(v) and Counter(u) == Counter(v)
 
 
-@dataclass(frozen=True)
-class AbelianAssignment:
+class AbelianAssignment(NamedTuple("_Lengths", [("lengths", tuple[int, ...])])):
     """Variable lengths (lambda(x1), ..., lambda(xn)), all positive."""
 
-    lengths: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(l < 1 for l in self.lengths):
+    def __new__(cls, lengths):
+        if any(l < 1 for l in lengths):
             raise ValueError("variable lengths must be positive")
+        return super().__new__(cls, lengths)
 
     def __getitem__(self, variable: int) -> int:
         return self.lengths[variable - 1]
@@ -284,6 +282,8 @@ def delta_upper_bound(n: int, k: int, length: int) -> Fraction:
 def claim1_probability(k: int, h: int, m: int, cap: int = 5_000_000) -> Fraction:
     """Exact probability that m uniform words of length h over [k] are all
     abelian-equivalent, by full enumeration of the k^(h m) tuples."""
+    from fractions import Fraction
+
     if k < 2 or h < 1 or m < 2:
         raise ValueError("need k >= 2, h >= 1, m >= 2")
     if power_exceeds(k, h * m, cap):
@@ -303,6 +303,8 @@ def claim1_probability(k: int, h: int, m: int, cap: int = 5_000_000) -> Fraction
 def claim1_bound(k: int, m: int) -> Fraction:
     """1 / k^(m-1): bound on the probability that m uniform words over [k]
     of one length are all abelian-equivalent."""
+    from fractions import Fraction
+
     if k < 2 or m < 1:
         raise ValueError("need k >= 2, m >= 1")
     return Fraction(1, guarded_power(k, m - 1))
@@ -311,6 +313,8 @@ def claim1_bound(k: int, m: int) -> Fraction:
 def claim2_probability(n: int, k: int, lam: AbelianAssignment, cap: int = 5_000_000) -> Fraction:
     """Exact probability that (0, lam) is an abelian occurrence of Z_n in a
     uniform word of length width(lam), by full enumeration."""
+    from fractions import Fraction
+
     width = lam.width
     if power_exceeds(k, width, cap):
         raise ResourceLimitError(f"enumerating the words of length {width} over {k} letters exceeds the cap of {cap}")
@@ -325,6 +329,8 @@ def claim2_probability(n: int, k: int, lam: AbelianAssignment, cap: int = 5_000_
 def claim2_bound(n: int, k: int) -> Fraction:
     """1 / k^(2^n - n - 1): bound on the probability that a fixed
     assignment is an abelian occurrence of Z_n in a uniform word over [k]."""
+    from fractions import Fraction
+
     if n < 1 or k < 2:
         raise ValueError("need n >= 1, k >= 2")
     return Fraction(1, guarded_power(k, guarded_power(2, n) - n - 1))

@@ -39,8 +39,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ResourceLimitError
 from .words import DEFAULT_DIGIT_CAP, guarded_power, power_exceeds, tau
@@ -59,8 +58,7 @@ def parse_rendered_word(text: str) -> list[int]:
     return [LETTERS.index(c) for c in text]
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(NamedTuple):
     """Outcome of one avoidance search.
 
     When ``exhausted`` the full tree was explored and f = implied_f();
@@ -87,7 +85,7 @@ class SearchCertificate:
         return self.max_avoiding_length + 1
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _make_tracker(mode: str, n: int, k: int):

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, log2
+from typing import NamedTuple
 
 from . import automata as au
 from .abelian import (
@@ -60,8 +60,7 @@ from .words import RankedWord, occurrences, sym, tau
 from .zimin import ZiminSuffixTracker, zimin_index, zimin_type
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str = ""

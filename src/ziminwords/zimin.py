@@ -22,29 +22,27 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ResourceLimitError
 from .words import DEFAULT_INDEX_LENGTH_CAP, DEFAULT_ZIMIN_PATTERN_CAP
 
 
-@dataclass(frozen=True, slots=True)
-class Pattern:
+class Pattern(tuple):
     """A pattern: a non-empty-or-empty word over variable indices x1, x2, ...
 
     Accepts either explicit indices (``Pattern([1, 2, 1])``), the spaced text
     form ``"x1 x2 x1"``, or a compact letter form ``"xyx"`` where each
-    distinct letter names a variable.
+    distinct letter names a variable.  A pattern is the tuple of its indices.
     """
 
-    variables: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, variables):
-        vs = tuple(int(v) for v in variables)
-        if any(v < 1 for v in vs):
+    def __new__(cls, variables):
+        self = super().__new__(cls, (int(v) for v in variables))
+        if any(v < 1 for v in self):
             raise ValueError("variable indices must be positive")
-        object.__setattr__(self, "variables", vs)
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
@@ -63,28 +61,22 @@ class Pattern:
             indices.append(int(body))
         return cls(indices)
 
-    def __len__(self):
-        return len(self.variables)
-
-    def __getitem__(self, i):
-        return self.variables[i]
-
-    def __iter__(self):
-        return iter(self.variables)
-
     def __repr__(self):
         return f"Pattern({str(self)!r})"
 
     def __str__(self):
-        return " ".join(f"x{v}" for v in self.variables)
+        return " ".join(f"x{v}" for v in self)
+
+    @property
+    def variables(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def distinct_variables(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.variables)))
+        return tuple(sorted(set(self)))
 
 
-@dataclass(frozen=True)
-class MorphismWitness:
+class MorphismWitness(NamedTuple):
     """A non-erasing substitution proving a match: variable index -> image."""
 
     assignment: dict

@@ -327,6 +327,23 @@ def test_tampered_checkpoint_witness_is_usage_error(tmp_path):
     assert "best_witness" in json.loads(out)["error"]
 
 
+def test_resumed_exact_value_notes_the_trusted_counts(tmp_path):
+    # the resume checks the skips' signs but trusts their sizes and the node
+    # count, so an exact value that rests on a checkpoint says so
+    ck = tmp_path / "run.json"
+    search = ["search", "f", "--n=3", "--k=2"]
+    code, plain, _ = _run_in_process(search)
+    assert code == EXIT_OK and "note" not in json.loads(plain)
+    assert _run_in_process([*search, "--budget-nodes=20000", f"--checkpoint={ck}"])[0] == EXIT_RESOURCE
+    code, out, err = _run_in_process([*search, f"--checkpoint={ck}", "--resume"])
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert (report["f"], report["certificate"]["nodes_explored"]) == (29, 77381)
+    assert report["certificate"] == json.loads(plain)["certificate"]
+    assert "node count and skip sizes" in report["note"]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -90,10 +90,28 @@ def test_search_f_loads_no_counters_or_fractions():
     assert not new & {"ziminwords.counters", "fractions", "decimal"}
 
 
-def test_psi_parses_loads_no_dataclasses():
-    new = _new_after(["psi", "parses", "0000000000"])
-    assert "ziminwords.coding" in new
-    assert "dataclasses" not in new
+def test_abelian_g_loads_no_fractions():
+    new = _new_after(["abelian", "g", "--n", "2", "--k", "2"])
+    assert "ziminwords.abelian" in new
+    assert not new & {"fractions", "decimal"}
+
+
+# every record of the package is a tuple, so no command needs dataclasses
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (["psi", "parses", "0000000000"], "ziminwords.coding"),
+        (["zimin", "type", "abc"], "ziminwords.zimin"),
+        (["search", "f", "--n", "2", "--k", "2"], "ziminwords.search"),
+        (["abelian", "g", "--n", "2", "--k", "2"], "ziminwords.abelian"),
+        (["regular", "check-identities"], "ziminwords.verify"),
+    ],
+    ids=["psi-parses", "zimin-type", "search-f", "abelian-g", "regular-check-identities"],
+)
+def test_command_loads_no_dataclasses_or_inspect(argv, module):
+    new = _new_after(argv)
+    assert module in new
+    assert not new & {"dataclasses", "inspect"}
 
 
 def test_the_package_loads_nothing_yet_lists_and_binds_every_export():

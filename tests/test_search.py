@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -105,7 +104,7 @@ def _reference(reference, n, k, base=()):
         if len(word) > len(best):
             best = word
         certs.append(SearchCertificate(n, k, len(best), render_word(best), False, count))
-    return certs + [dataclasses.replace(certs[-1], exhausted=True)]
+    return certs + [certs[-1]._replace(exhausted=True)]
 
 
 _SMALL_TREES = [("zimin", 2, 3), ("zimin", 2, 4), ("zimin-oracle", 2, 3), ("zimin-oracle", 2, 4),

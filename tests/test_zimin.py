@@ -155,7 +155,7 @@ def test_type_and_index_agree_with_oracles_exhaustively():
         assert zimin_index(w) == zimin_index_enumerated(w)
 
 
-def test_prefix_types_agree_with_oracle_on_ternary_words():
+def test_zimin_type_agrees_with_recursive_oracle_on_ternary_words():
     # every ternary word of length <= 9
     for n in range(10):
         for w in itertools.product("abc", repeat=n):
