@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                 type=_cap,
                 default=None,
                 help=f"refuse longer words with exit 3 (default {DEFAULT_INDEX_LENGTH_CAP}: "
-                "a periodic word of that length takes about 0.3 s)",
+                "a periodic word of that length takes about 0.4 s)",
             )
         q.set_defaults(handler=_cmd_zimin)
     q = zsub.add_parser("encounters")
@@ -408,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-nodes",
         type=int,
         default=None,
-        help="stop after this many nodes; a deep run holds about 460 bytes per letter "
-        "of depth (88 MB at depth 158,835)",
+        help="stop after this many nodes; a deep run holds about 550 bytes per letter "
+        "of depth (103 MB at depth 158,835)",
     )
     q.add_argument("--budget-seconds", type=float, default=None)
     q.add_argument("--checkpoint", default=None)

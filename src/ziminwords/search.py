@@ -9,10 +9,10 @@ exhausts it.
 A new encounter created by appending one letter must lie in a suffix of
 the extended word, so each node asks whether some suffix of w·c has Zimin
 type >= n.  ``zimin.ZiminSuffixTracker``, the engine of ``zimin_index``,
-answers that within the push: it finds the longest suffix of w·c with an
-earlier copy ending at least one letter before it starts, and reads the
-highest type of the shorter suffixes off the levels kept for the end of
-that copy.
+answers that within the push: it builds the levels of the new position,
+the shortest suffix of each type, each from the latest earlier copy of
+the one below it that ends at least one letter before it starts, and
+refuses the letter when they would reach type n.
 
 Encountering Z_n, plainly or abelian, does not depend on letter names, so
 the tree is symmetric.  At a node w let u be the smallest letter absent

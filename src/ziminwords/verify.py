@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from math import floor, log2
 from typing import NamedTuple
 
@@ -479,6 +478,8 @@ def check_f32() -> CheckResult:
 
 
 def check_match_probabilities() -> list[CheckResult]:
+    from fractions import Fraction
+
     out = []
     count, total = match_count_enumerated(2, 2)
     out.append(
@@ -506,6 +507,8 @@ def check_match_probabilities() -> list[CheckResult]:
 
 
 def check_abelian_suite() -> list[CheckResult]:
+    from fractions import Fraction
+
     out = []
     agree = True
     for w in _binary_words(10):

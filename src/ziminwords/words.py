@@ -21,9 +21,10 @@ DEFAULT_DIGIT_CAP = 10**6
 # most distinct variables of a pattern for is_unavoidable, and most n for
 # zimin_pattern(n), which has 2^n - 1 positions
 DEFAULT_ZIMIN_PATTERN_CAP = 25
-# zimin_index costs about |w|^2 steps on periodic words, all in the walk
-# down suffix links that finds B: a^4000 takes about 0.3 s, a^10000 1.9 s
-DEFAULT_INDEX_LENGTH_CAP = 4_000
+# a zimin_index push copies the level strings of the new position, which on
+# periodic words are about as long as the word: |w|^2 byte copies there, and
+# a^20000 takes about 0.35 s
+DEFAULT_INDEX_LENGTH_CAP = 20_000
 
 
 class RankedSymbol(NamedTuple):

@@ -12,9 +12,10 @@ encounters it; ``is_unavoidable`` decides it by free-letter deletions
 instead, without building Z_n.
 
 ``zimin_type`` walks once down the border chain of its word, read off one
-prefix-function pass.  ``ZiminSuffixTracker`` keeps the highest type among
-the suffixes of a word as each letter is appended and drives
-``zimin_index`` and the search.
+prefix-function pass.  ``ZiminSuffixTracker`` keeps, for each position of
+a word, the shortest suffix of each type (its levels), each found from the
+latest earlier copy of the one below it, as letters are appended and
+removed; it drives ``zimin_index`` and the search.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ def zimin_pattern(n: int, cap: int = DEFAULT_ZIMIN_PATTERN_CAP) -> Pattern:
     return Pattern(z)
 
 
+# the longest key, in bytes, that ZiminSuffixTracker keeps as a string
+# rather than as its hash
+_EXACT_KEY = 256
+
+
 def _canon(w: Sequence) -> list[int]:
     ids: dict = {}
     return [ids.setdefault(c, len(ids)) for c in w]
@@ -112,42 +118,28 @@ def _canon(w: Sequence) -> list[int]:
 class ZiminSuffixTracker:
     """Incremental check: would appending a letter close a Z_n encounter?
 
-    State: the word, ``top``, the highest Zimin type among the suffixes of
-    the word, and the suffix automaton of the word (Blumer et al. 1985),
-    whose states keep ``len``, the suffix ``link`` and ``first``, the
-    earliest end of their strings.  Transitions are one column per letter,
-    -1 for none.  State 0 is a bottom state of length -1 whose every
-    transition leads to the root, state 1, so neither walk below needs a
-    case for the root.  Each position e also keeps its levels
-    (L_1, ..., L_top), L_j the length of the shortest suffix of
-    ``word[:e+1]`` of type >= j (L_1 = 1), and the word is mirrored in a
-    bytearray, a fixed number of bytes per letter, for ``rfind``.
+    Each position m keeps its levels (L_1, ..., L_top), L_j the length of
+    the shortest suffix of ``word[:m+1]`` of type >= j, and ``top``, the
+    highest type among those suffixes, is the number of levels of the last
+    position.  L_1 = 1, and L_(j+1) = L_j + m - q, where q is the latest end
+    <= m - L_j - 1 of a copy of the level-j suffix a: the shortest suffix of
+    type >= j+1 is a' v a with type(a') >= j and v non-empty, a is a suffix
+    of every such a', and a copy of a ends where a' does.  With no such
+    copy, top = j.  A push is refused when j + 1 reaches n.
 
-    A suffix u of w·c has type 1 + max type(a) over its borders a with
-    2|a| < |u|, and such an a is a suffix a_b of w·c with an earlier copy
-    ending at least one letter before a_b starts.  Let B be the longest
-    such b (every shorter one qualifies too): the highest type among the
-    suffixes of w·c is 1 + max type(a_b) over b <= B, or 1 when B = 0.  A
-    push follows links from the last state to the first state p with a
-    c-transition, to q; a_b with b <= len(p) + 1 lies in q or below it on
-    q's links, and qualifies when b <= |w| - 1 - first.
+    A copy of a level string ending at p is a level of p too (the suffixes
+    at p that are no longer than a are those of a), so ``_ends[c]``, which
+    maps each level string ending in c to the ascending positions where it
+    is a level, holds every copy: a bisect finds q.  A string is keyed by
+    its letters before c, read off a byte mirror of the word (a fixed
+    number of bytes per letter), as a str when it has at most
+    ``_EXACT_KEY`` bytes and as the hash of that str when longer; a hit on
+    a hashed key is checked against the mirror.  L_2 needs no key: the
+    latest earlier c, ``_last`` or the ``_prev`` of it.
 
-    The walk stops at the state t of a_B, which ends at e = first(t) too,
-    so the suffixes of length <= B of w·c are those of ``word[:e+1]``: the
-    highest type among them is J, the number of levels of e that are
-    <= B, the new top is J + 1, and the new position m shares L_1..L_J
-    with e.  Its L_(J+1) is the length of the shortest suffix a v a with
-    type(a) >= J and v non-empty.  The shortest suffix a* of type >= J
-    (L_J letters) is a suffix of every such a, so it has a copy ending
-    where the first a ends: the shortest is a* v a*, with the first a* the
-    latest copy that ends at least one letter before the last a* starts.
-    One ``rfind`` finds it, and there is one, as a* also ends at e.
-
-    Only an accepted push extends the automaton, with the p it found, the
-    levels and the mirror, and saves (last state, q if q was cloned else 0)
-    for ``pop``, which undoes the new transitions and the clone.
-    State slots only grow, and a slot past the live count keeps every
-    transition at -1.
+    A push writes nothing until it is accepted.  Its undo record for
+    ``pop`` is the lists of ends it appended to, then the key it created or
+    None.
     """
 
     def __init__(self, n: int, k: int):
@@ -160,88 +152,65 @@ class ZiminSuffixTracker:
         self._width = ((k - 1).bit_length() + 7) // 8 or 1  # bytes per letter
         self._bytes = [c.to_bytes(self._width, "big") for c in range(k)]
         self._text = bytearray()
-        self._len = [-1, 0]
-        self._link = [-1, 0]
-        self._first = [-1, -1]
-        self._next = [[1, -1] for _ in range(k)]
-        self._last = 1
-        self._size = 2  # live states
-        self._undo: list[tuple[int, int]] = []
+        self._last = [-1] * k  # the latest position of each letter
+        self._prev: list[int] = []  # the previous position of word[i]
+        self._ends: list[dict] = [{} for _ in range(k)]
+        self._undo: list[list] = []
 
     def try_push(self, c: int) -> bool:
         """Append c unless it creates a suffix of type >= n; report success."""
         word = self.word
         m = len(word)
-        length = self._len
-        link = self._link
-        first = self._first
-        col = self._next[c]
-        last = p = self._last
-        while col[p] < 0:
-            p = link[p]
-        t = q = col[p]
-        b = m - 1 - first[q]
-        if b > length[p]:
-            b = length[p] + 1
-        while b <= length[link[t]]:
-            t = link[t]
-            b = m - 1 - first[t]
-            if b > length[t]:
-                b = length[t]
-        if b:
-            e = first[t]
-            levels = self._levels[e]
-            top = bisect_right(levels, b) + 1
+        last = self._last
+        q = prev = last[c]
+        if q == m - 1 and m:
+            q = self._prev[q]
+        n = self.n
+        lists = []  # the lists of ends that the levels >= 2 of m join
+        key = None  # the key that m's top level creates, if it is new
+        if q < 0:
+            levels = [1]
         else:
-            top = 1
-        if top >= self.n:
+            ell = m + 1 - q
+            levels = [1, ell]
+            ends = self._ends[c]
+            text = self._text
+            w = self._width
+            while len(levels) < n:
+                # the highest level so far: its letters before c are the key
+                a = text[(m + 1 - ell) * w :]
+                key = a.decode("latin-1")
+                if len(a) > _EXACT_KEY:
+                    key = hash(key)
+                hits = ends.get(key)
+                if hits is None:
+                    break
+                lists.append(hits)
+                key = None
+                i = len(hits)
+                if hits[-1] >= m - ell:
+                    i = bisect_right(hits, m - ell - 1)
+                if len(a) > _EXACT_KEY:
+                    # a hash collision may list other strings: check each hit
+                    while i and (hits[i - 1] < ell - 1 or text[(hits[i - 1] + 1 - ell) * w : hits[i - 1] * w] != a):
+                        i -= 1
+                if not i:
+                    break
+                ell += m - hits[i - 1]
+                levels.append(ell)
+        if len(levels) >= n:
             return False
         word.append(c)
-        text = self._text
-        text += self._bytes[c]
-        if b:
-            # the latest copy of a* (L_J letters) that ends at least one
-            # letter before the suffix a* starts
-            w = self._width
-            ell = levels[top - 2]
-            a = text[(m + 1 - ell) * w :]
-            lo = (e + 1 - ell) * w
-            hit = text.rfind(a, lo, (m - ell) * w)
-            while hit % w:  # a hit across letter boundaries
-                hit = text.rfind(a, lo, hit + len(a) - 1)
-            self._levels.append(levels[: top - 1] + (m + 1 - hit // w,))
-        else:
-            self._levels.append((1,))
-        cur = self._size
-        if cur + 1 >= len(length):
-            # room for cur and a clone; a new slot has no transitions
-            for column in (length, link, first, *self._next):
-                column += [-1] * len(column)
-        length[cur] = m + 1
-        first[cur] = m
-        s = last
-        while s != p:
-            col[s] = cur
-            s = link[s]
-        if length[p] + 1 == length[q]:
-            link[cur] = q
-            self._size = cur + 1
-            self._undo.append((last, 0))
-        else:
-            # q's strings up to len(p) + 1 move to a clone
-            clone = cur + 1
-            length[clone] = length[p] + 1
-            first[clone] = first[q]
-            link[clone] = link[q]
-            for column in self._next:
-                column[clone] = column[q]
-            while col[s] == q:
-                col[s] = clone
-                s = link[s]
-            link[q] = link[cur] = clone
-            self._size = cur + 2
-            self._undo.append((last, q))
-        self._last = cur
+        self._prev.append(prev)
+        last[c] = m
+        self._text += self._bytes[c]
+        self._levels.append(tuple(levels))
+        for hits in lists:
+            hits.append(m)
+        if key is not None:
+            ends[key] = [m]
+        lists.append(key)
+        self._undo.append(lists)
         return True
 
     @property
@@ -250,27 +219,17 @@ class ZiminSuffixTracker:
         return len(self._levels[-1]) if self._levels else 0
 
     def pop(self):
-        last, q = self._undo.pop()
-        col = self._next[self.word.pop()]
+        lists = self._undo.pop()
+        key = lists.pop()
+        c = self.word.pop()
+        self._last[c] = self._prev.pop()
         self._levels.pop()
         del self._text[-self._width :]
-        link = self._link
-        cur = self._last
-        self._last = last
-        self._size = cur
-        clone = cur + 1
-        if q:
-            link[q] = link[clone]
-        s = last
-        while col[s] == cur:
-            col[s] = -1
-            s = link[s]
-        if q:
-            while col[s] == clone:
-                col[s] = q
-                s = link[s]
-            for column in self._next:
-                column[clone] = -1
+        for hits in lists:
+            hits.pop()
+        if key is not None:
+            # only the key this push created can have emptied its list
+            del self._ends[c][key]
 
 
 # bound once: code that wraps the search's tracker methods must not see this

@@ -96,6 +96,12 @@ def test_abelian_g_loads_no_fractions():
     assert not new & {"fractions", "decimal"}
 
 
+def test_verify_loads_fractions_only_for_the_checks_that_build_one():
+    new = _new_after(["regular", "check-identities"])
+    assert "ziminwords.verify" in new
+    assert not new & {"fractions", "decimal"}
+
+
 # every record of the package is a tuple, so no command needs dataclasses
 @pytest.mark.parametrize(
     "argv, module",

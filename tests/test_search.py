@@ -4,6 +4,7 @@ import json
 import os
 import random
 import shutil
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ziminwords import search as search_module
+from ziminwords import zimin as zimin_module
 from ziminwords import zimin_index
 from ziminwords.abelian import AbelianSuffixTracker
 from ziminwords.errors import ResourceLimitError
@@ -176,17 +178,43 @@ def _levels_by_oracle(word):
 
 
 def _state(tracker):
-    # the word, top, the levels of every position, the mirror and the live
-    # slots of the suffix automaton
-    size = tracker._size
-    slots = [column[:size] for column in (tracker._len, tracker._link, tracker._first, *tracker._next)]
-    return tracker.word[:], tracker.top, tracker._levels[:], bytes(tracker._text), tracker._last, slots
+    # the word, top, the levels of every position, the mirror, the latest
+    # and the previous positions of the letters, and the tables of ends
+    return (
+        tracker.word[:],
+        tracker.top,
+        tracker._levels[:],
+        bytes(tracker._text),
+        tracker._last[:],
+        tracker._prev[:],
+        [{key: hits[:] for key, hits in ends.items()} for ends in tracker._ends],
+    )
 
 
 def _fresh_state(n, k, word):
     fresh = ZiminSuffixTracker(n, k)
     assert all(fresh.try_push(c) for c in word)
     return _state(fresh)
+
+
+def _walk_against_oracle(rng, n, k, letters):
+    # one random walk of pushes and pops, step by step against the oracle
+    fast, slow = ZiminSuffixTracker(n, k), OracleSuffixTracker(n, k)
+    max_len = rng.randrange(20, 61)
+    for _ in range(150):
+        if fast.word and (len(fast.word) >= max_len or rng.random() < 0.25):
+            fast.pop()
+            slow.pop()
+        else:
+            c = rng.choice(letters)
+            assert fast.try_push(c) == slow.try_push(c), (n, k, fast.word, c)
+        assert fast.word == slow.word
+        # after a push, a refused push or a pop, the state is that of a
+        # tracker built on the word from scratch
+        levels = _levels_by_oracle(fast.word)
+        assert fast.top == len(levels), (n, k, fast.word)
+        assert (fast._levels[-1] if fast.word else ()) == levels, (n, k, fast.word)
+        assert _state(fast) == _fresh_state(n, k, fast.word), (n, k, fast.word)
 
 
 def test_tracker_random_walks_match_oracle():
@@ -205,28 +233,36 @@ def test_tracker_random_walks_match_oracle():
         wide = (300, (0, 1, 255, 256, 257, 299), 1)
         for k, letters, walks in [(k, range(k), 6) for k in (1, 2, 3, 4)] + [wide]:
             for _ in range(walks):
-                fast, slow = ZiminSuffixTracker(n, k), OracleSuffixTracker(n, k)
-                max_len = rng.randrange(20, 61)
-                for _ in range(150):
-                    if fast.word and (len(fast.word) >= max_len or rng.random() < 0.25):
-                        fast.pop()
-                        slow.pop()
-                    else:
-                        c = rng.choice(letters)
-                        assert fast.try_push(c) == slow.try_push(c), (n, k, fast.word, c)
-                    assert fast.word == slow.word
-                    # after a push, a refused push or a pop, the state is that
-                    # of a tracker built on the word from scratch
-                    levels = _levels_by_oracle(fast.word)
-                    assert fast.top == len(levels), (n, k, fast.word)
-                    assert (fast._levels[-1] if fast.word else ()) == levels, (n, k, fast.word)
-                    assert _state(fast) == _fresh_state(n, k, fast.word), (n, k, fast.word)
+                _walk_against_oracle(rng, n, k, letters)
+
+
+def test_tracker_survives_hash_collisions(monkeypatch):
+    # every key is hashed, and every hash is equal: each table of ends then
+    # holds one list for all the level strings of its letter, and only the
+    # check against the mirror tells a copy from a collision
+    monkeypatch.setattr(zimin_module, "_EXACT_KEY", 0)
+    monkeypatch.setattr(zimin_module, "hash", lambda key: 0, raising=False)
+    rng = random.Random(20191105)
+    for n in (3, 4, 5):
+        for k, letters, walks in [(k, range(k), 4) for k in (1, 2, 3)] + [(300, (0, 1, 256, 257), 1)]:
+            for _ in range(walks):
+                _walk_against_oracle(rng, n, k, letters)
+
+
+def test_zimin_index_memory_does_not_grow_with_the_alphabet():
+    # 4,000 distinct letters: no level above the first, so no table grows
+    tracemalloc.start()
+    try:
+        assert zimin_index(tuple(range(4000))) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30_000_000, peak
 
 
 def _slots(tracker):
-    # every slot, live or not, and the undo records
-    columns = (tracker._len, tracker._link, tracker._first, *tracker._next)
-    return _state(tracker), [column[:] for column in columns], tracker._size, tracker._undo[:]
+    # the state and the undo records
+    return _state(tracker), [[hits[:] for hits in record[:-1]] + record[-1:] for record in tracker._undo]
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,15 +272,14 @@ def _slots(tracker):
     # each step: a letter to push, or None to pop
     steps=st.lists(st.one_of(st.none(), st.integers(0, 3)), max_size=120),
 )
-def test_tracker_push_pop_restores_the_automaton(n, k, steps):
+def test_tracker_push_pop_restores_the_state(n, k, steps):
     tracker = ZiminSuffixTracker(n, k)
-    before = []  # the slots before each accepted push on the path
+    before = []  # the state before each accepted push on the path
     for step in steps:
         if step is None:
             if not tracker.word:
                 continue
             tracker.pop()
-            # a pop restores the live automaton, whatever slots grew since
             assert _state(tracker) == before.pop()[0]
         else:
             c = step % k
@@ -252,10 +287,8 @@ def test_tracker_push_pop_restores_the_automaton(n, k, steps):
             if tracker.try_push(c):
                 before.append(snapshot)
             else:
-                # a refused push changes nothing, not even the spare slots
+                # a refused push changes nothing
                 assert _slots(tracker) == snapshot
-        # a slot past the live count has no transitions
-        assert all(x == -1 for column in tracker._next for x in column[tracker._size :])
     assert _state(tracker) == _fresh_state(n, k, tracker.word)
 
 
