@@ -5,6 +5,8 @@ abelian, verify.  Machine-readable JSON goes to stdout (fixed key order,
 byte-identical across runs for identical inputs and budgets); pass
 --pretty for human-readable lines on stderr.  --timing adds wall-clock
 seconds to the report and is the one switch that breaks byte-identity.
+A report's ``inputs`` lists every option of its command with the value the
+run used, caps included.
 
 Exit codes: 0 success/PASS, 1 property FAIL, 2 usage error, 3 budget or
 resource exhaustion.
@@ -23,6 +25,7 @@ from .errors import ResourceLimitError
 from .words import (
     DEFAULT_DIGIT_CAP,
     DEFAULT_INDEX_LENGTH_CAP,
+    DEFAULT_SYMBOL_CAP,
     DEFAULT_ZIMIN_PATTERN_CAP,
     RankedWord,
 )
@@ -77,7 +80,7 @@ def _jsonable(x):
 
 
 def _word_arg(args):
-    if getattr(args, "ranked", False):
+    if args.ranked:
         return RankedWord.parse(args.word)
     return args.word
 
@@ -119,8 +122,7 @@ def _cmd_zimin(args):
     if args.zimin_cmd == "type":
         return {"result": zimin_type(_word_arg(args))}, EXIT_OK
     if args.zimin_cmd == "index":
-        cap = DEFAULT_INDEX_LENGTH_CAP if args.length_cap is None else args.length_cap
-        return {"result": zimin_index(_word_arg(args), max_length=cap)}, EXIT_OK
+        return {"result": zimin_index(_word_arg(args), max_length=args.length_cap)}, EXIT_OK
     if args.zimin_cmd == "encounters":
         pattern = Pattern.parse(args.pattern)
         got = encounters(_word_arg(args), pattern)
@@ -133,13 +135,12 @@ def _cmd_zimin(args):
             "witness": {f"x{v}": img for v, img in sorted(witness.assignment.items())},
         }, EXIT_OK
     if args.zimin_cmd == "unavoidable":
-        cap = DEFAULT_ZIMIN_PATTERN_CAP if args.pattern_cap is None else args.pattern_cap
-        return {"result": is_unavoidable(Pattern.parse(args.pattern), cap=cap)}, EXIT_OK
+        return {"result": is_unavoidable(Pattern.parse(args.pattern), cap=args.pattern_cap)}, EXIT_OK
     raise AssertionError
 
 
 def _cmd_counters(args):
-    from .counters import DEFAULT_SYMBOL_CAP, counter, counter_stream
+    from .counters import counter, counter_stream
 
     if args.counters_cmd == "make":
         if args.stream:
@@ -149,8 +150,7 @@ def _cmd_counters(args):
             except BrokenPipeError:
                 _silence(sys.stdout)
             return None, EXIT_OK
-        cap = DEFAULT_SYMBOL_CAP if args.symbol_cap is None else args.symbol_cap
-        w = counter(args.index, args.order, symbol_cap=cap)
+        w = counter(args.index, args.order, symbol_cap=args.symbol_cap)
         return {"result": str(w), "length": len(w)}, EXIT_OK
     if args.counters_cmd == "check":
         from .verify import check_counter_zimin_for_order, counter_suite
@@ -198,7 +198,21 @@ def _cmd_regular(args):
     return _run_checks(check_regular_identities())
 
 
-def _certificate_report(cert, value_name, resumed):
+def _cmd_search(args):
+    """``search f`` and ``abelian g``: one avoiding-tree search, for Z_n or
+    for its abelian form, reporting f or g."""
+    from .search import longest_avoiding
+
+    mode, value_name = ("zimin", "f") if args.cmd == "search" else ("abelian", "g")
+    cert = longest_avoiding(
+        args.n,
+        args.k,
+        max_nodes=args.budget_nodes,
+        max_seconds=args.budget_seconds,
+        mode=mode,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+    )
     value = cert.implied_f()
     report = {
         "certificate": cert.to_json(),
@@ -211,7 +225,7 @@ def _certificate_report(cert, value_name, resumed):
             f"only {value_name} > {cert.max_avoiding_length} is certified"
         )
         return report, EXIT_RESOURCE
-    if resumed:
+    if args.resume:
         # a resume replays the witness and checks the sign of each skip, but
         # does not re-walk the subtrees the checkpoint counts as explored
         report["note"] = (
@@ -221,42 +235,16 @@ def _certificate_report(cert, value_name, resumed):
     return report, EXIT_OK
 
 
-def _cmd_search(args):
-    from .search import longest_avoiding
-
-    cert = longest_avoiding(
-        args.n,
-        args.k,
-        max_nodes=args.budget_nodes,
-        max_seconds=args.budget_seconds,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-    )
-    return _certificate_report(cert, "f", args.resume)
-
-
 def _cmd_abelian(args):
     from . import abelian as ab
 
-    if args.abelian_cmd == "g":
-        resume = getattr(args, "resume", False)
-        value, cert = ab.g_value(
-            args.n,
-            args.k,
-            max_nodes=args.budget_nodes,
-            max_seconds=args.budget_seconds,
-            checkpoint_path=getattr(args, "checkpoint", None),
-            resume=resume,
-        )
-        return _certificate_report(cert, "g", resume)
     if args.abelian_cmd == "bounds":
-        cap = DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap
         report = {
             "n": args.n,
             "k": args.k,
-            "lower_bound": ab.g_lower_bound(args.n, args.k, cap) if args.n >= 2 else None,
-            "upper_closed_form": ab.g_upper_bound(args.n, args.k, cap),
-            "upper_recurrence": ab.g_upper_recurrence(args.n, args.k, cap),
+            "lower_bound": ab.g_lower_bound(args.n, args.k, args.digit_cap) if args.n >= 2 else None,
+            "upper_closed_form": ab.g_upper_bound(args.n, args.k, args.digit_cap),
+            "upper_recurrence": ab.g_upper_recurrence(args.n, args.k, args.digit_cap),
         }
         return report, EXIT_OK
     if args.abelian_cmd == "oracles":
@@ -283,10 +271,9 @@ def _cmd_bounds(args):
 def _cmd_moment(args):
     from .search import first_moment_threshold, match_count_enumerated, match_probability
 
-    cap = DEFAULT_DIGIT_CAP if args.digit_cap is None else args.digit_cap
     report = {
-        "match_probability": match_probability(args.n, args.k, cap),
-        "first_moment_threshold": first_moment_threshold(args.n, args.k, cap),
+        "match_probability": match_probability(args.n, args.k, args.digit_cap),
+        "first_moment_threshold": first_moment_threshold(args.n, args.k, args.digit_cap),
     }
     if args.enumerate:
         count, total = match_count_enumerated(args.n, args.k)
@@ -319,6 +306,23 @@ def _cap(text: str) -> int:
     return value
 
 
+def _add_search_flags(q) -> None:
+    """The flags of ``search f`` and ``abelian g``, which run one search."""
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--k", type=int, required=True)
+    q.add_argument(
+        "--budget-nodes",
+        type=int,
+        default=None,
+        help="stop after this many nodes; a deep `search f` run holds about 550 bytes "
+        "per letter of depth (103 MB at depth 158,835)",
+    )
+    q.add_argument("--budget-seconds", type=float, default=None)
+    q.add_argument("--checkpoint", default=None)
+    q.add_argument("--resume", action="store_true")
+    q.set_defaults(handler=_cmd_search)
+
+
 class _Parser(argparse.ArgumentParser):
     """Turns a malformed command line into an exception that ``run``
     reports like any other usage error, rather than exiting inside
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument(
                 "--length-cap",
                 type=_cap,
-                default=None,
+                default=DEFAULT_INDEX_LENGTH_CAP,
                 help=f"refuse longer words with exit 3 (default {DEFAULT_INDEX_LENGTH_CAP}: "
                 "a periodic word of that length takes about 0.4 s)",
             )
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--pattern-cap",
         type=_cap,
-        default=None,
+        default=DEFAULT_ZIMIN_PATTERN_CAP,
         help="refuse patterns with more distinct variables with exit 3 "
         f"(default {DEFAULT_ZIMIN_PATTERN_CAP})",
     )
@@ -374,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--order", type=int, required=True)
     q.add_argument("--index", type=int, required=True)
     q.add_argument("--stream", action="store_true", help="stream symbols, one per line")
-    q.add_argument("--symbol-cap", type=_cap, default=None)
+    q.add_argument("--symbol-cap", type=_cap, default=DEFAULT_SYMBOL_CAP)
     q.set_defaults(handler=_cmd_counters)
     q = csub.add_parser("check")
     q.add_argument("--order", type=int, required=True)
@@ -401,20 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive avoidance search")
     ssub = p.add_subparsers(dest="search_cmd", required=True)
-    q = ssub.add_parser("f")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument(
-        "--budget-nodes",
-        type=int,
-        default=None,
-        help="stop after this many nodes; a deep run holds about 550 bytes per letter "
-        "of depth (103 MB at depth 158,835)",
-    )
-    q.add_argument("--budget-seconds", type=float, default=None)
-    q.add_argument("--checkpoint", default=None)
-    q.add_argument("--resume", action="store_true")
-    q.set_defaults(handler=_cmd_search)
+    _add_search_flags(ssub.add_parser("f"))
     q = ssub.add_parser("bounds", help="counter-based lower-bound certificates")
     q.add_argument("--order", type=int, required=True)
     q.add_argument("--encoded", action="store_true")
@@ -424,25 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--enumerate", action="store_true")
-    q.add_argument("--digit-cap", type=_cap, default=None)
+    q.add_argument("--digit-cap", type=_cap, default=DEFAULT_DIGIT_CAP)
     q.set_defaults(handler=_cmd_moment)
 
     p = sub.add_parser("abelian", help="abelian encounters, g(n,k), bounds")
     asub = p.add_subparsers(dest="abelian_cmd", required=True)
-    q = asub.add_parser("g")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--budget-nodes", type=int, default=None)
-    q.add_argument("--budget-seconds", type=float, default=None)
-    # under the report's inputs only when given: the report of a run
-    # without them names no checkpoint
-    q.add_argument("--checkpoint", default=argparse.SUPPRESS)
-    q.add_argument("--resume", action="store_true", default=argparse.SUPPRESS)
-    q.set_defaults(handler=_cmd_abelian)
+    _add_search_flags(asub.add_parser("g"))
     q = asub.add_parser("bounds")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--digit-cap", type=_cap, default=None)
+    q.add_argument("--digit-cap", type=_cap, default=DEFAULT_DIGIT_CAP)
     q.set_defaults(handler=_cmd_abelian)
     q = asub.add_parser("oracles")
     q.set_defaults(handler=_cmd_abelian)
@@ -469,11 +451,7 @@ def _run(argv):
     except _UsageError as exc:
         return EXIT_USAGE, {"error": str(exc)}, None
     started = time.monotonic()
-    inputs = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("handler", "pretty", "timing") and not callable(v)
-    }
+    inputs = {k: v for k, v in sorted(vars(args).items()) if k not in ("handler", "pretty", "timing")}
     try:
         result, code = args.handler(args)
     except ResourceLimitError as exc:

@@ -24,8 +24,8 @@ from typing import Iterable, NamedTuple
 
 from . import automata
 from .automata import Dfa
-from .counters import DEFAULT_SYMBOL_CAP, check_symbol_cap, counter_stream
-from .words import RankedSymbol, RankedWord, occurrences
+from .counters import check_symbol_cap, counter_stream
+from .words import DEFAULT_SYMBOL_CAP, RankedSymbol, RankedWord, occurrences
 
 # Thresholds from the definition of a simple word.
 SIMPLE_LENGTH_THRESHOLD = 11

@@ -28,12 +28,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import MalformedCounterError, ResourceLimitError
-from .words import DEFAULT_DIGIT_CAP, RankedSymbol, RankedWord, tau
-
-# Symbol-count cap for materialised counters.  Orders up to 4 (336 symbols)
-# are comfortable; order 5 is 65536 * 337 = 22_085_632 symbols and is only
-# reachable through counter_stream or an explicit cap override.
-DEFAULT_SYMBOL_CAP = 10**7
+from .words import DEFAULT_DIGIT_CAP, DEFAULT_SYMBOL_CAP, RankedSymbol, RankedWord, tau
 
 
 def counter_length(order: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:

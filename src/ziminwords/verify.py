@@ -148,7 +148,7 @@ def check_counter_structure(order: int) -> list[CheckResult]:
         unique = True
         for w in as_bytes.values():
             for sub in subs:
-                if _overlapping_count(w, sub) != 1:
+                if len(occurrences(sub, w)) != 1:
                     unique = False
         out.append(
             CheckResult(
@@ -170,15 +170,6 @@ def check_counter_structure(order: int) -> list[CheckResult]:
                     ok = False
         out.append(CheckResult(f"order {order}: order-from-position lemma", ok))
     return out
-
-
-def _overlapping_count(w: bytes, sub: bytes) -> int:
-    count = 0
-    start = w.find(sub)
-    while start != -1:
-        count += 1
-        start = w.find(sub, start + 1)
-    return count
 
 
 def check_counter_roundtrip(order: int, indices) -> CheckResult:

@@ -16,8 +16,12 @@ from .errors import ResourceLimitError
 
 # Guards against runaway big-integer growth (tower values, counter lengths).
 DEFAULT_DIGIT_CAP = 10**6
-# The Zimin caps live here, beside the digit cap, so that the CLI's help can
-# name them without loading zimin.
+# The other caps live here, beside the digit cap, so that the CLI's parser
+# can name them without loading zimin or counters.
+# Symbol-count cap for materialised counters.  Orders up to 4 (336 symbols)
+# are comfortable; order 5 is 65536 * 337 = 22_085_632 symbols and is only
+# reachable through counter_stream or an explicit cap override.
+DEFAULT_SYMBOL_CAP = 10**7
 # most distinct variables of a pattern for is_unavoidable, and most n for
 # zimin_pattern(n), which has 2^n - 1 positions
 DEFAULT_ZIMIN_PATTERN_CAP = 25
@@ -111,12 +115,13 @@ class RankedWord(Sequence):
 def occurrences(needle: Sequence, haystack: Sequence) -> list[int]:
     """All offsets m with haystack[m : m+|needle|] == needle, ascending.
 
-    The empty needle occurs at every offset 0..|haystack|.
+    The empty needle occurs at every offset 0..|haystack|.  A str in a str,
+    or bytes in bytes, is found with ``find``.
     """
     n, h = len(needle), len(haystack)
     if n == 0:
         return list(range(h + 1))
-    if isinstance(needle, str) and isinstance(haystack, str):
+    if isinstance(needle, (str, bytes)) and type(needle) is type(haystack):
         out = []
         m = haystack.find(needle)
         while m != -1:

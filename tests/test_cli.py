@@ -25,6 +25,12 @@ from ziminwords.cli import (
     run,
 )
 from ziminwords.coding import parses
+from ziminwords.words import (
+    DEFAULT_DIGIT_CAP,
+    DEFAULT_INDEX_LENGTH_CAP,
+    DEFAULT_SYMBOL_CAP,
+    DEFAULT_ZIMIN_PATTERN_CAP,
+)
 from ziminwords.verify import CheckResult
 
 
@@ -69,7 +75,7 @@ def test_counters_make_over_cap(capsys):
     assert "error" in report
 
 
-def test_symbol_cap_env_override(capsys):
+def test_symbol_cap_flag_refuses_a_longer_counter(capsys):
     code, _ = invoke(["counters", "make", "--order", "2", "--index", "0", "--symbol-cap", "3"], capsys)
     assert code == EXIT_RESOURCE
 
@@ -87,6 +93,23 @@ def test_cap_of_zero_is_honoured(argv):
     code, out, err = _run_in_process(argv)
     _assert_one_json_line(code, out, err)
     assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize(
+    "argv, cap, default",
+    [
+        (["zimin", "index", "abc"], "length_cap", DEFAULT_INDEX_LENGTH_CAP),
+        (["zimin", "unavoidable", "xyx"], "pattern_cap", DEFAULT_ZIMIN_PATTERN_CAP),
+        (["counters", "make", "--order", "2", "--index", "0"], "symbol_cap", DEFAULT_SYMBOL_CAP),
+        (["search", "moment", "--n", "3", "--k", "2"], "digit_cap", DEFAULT_DIGIT_CAP),
+        (["abelian", "bounds", "--n", "3", "--k", "2"], "digit_cap", DEFAULT_DIGIT_CAP),
+    ],
+)
+def test_inputs_name_the_cap_the_run_applied(argv, cap, default):
+    code, out, err = _run_in_process(argv)
+    _assert_one_json_line(code, out, err)
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"][cap] == default
 
 
 @pytest.mark.parametrize(
@@ -123,7 +146,9 @@ def test_enumeration_over_the_count_cap_names_the_length_not_the_count():
     code, out, err = _run_in_process(["search", "moment", "--n", "14", "--k", "2", "--enumerate"])
     _assert_one_json_line(code, out, err)
     assert code == EXIT_RESOURCE
-    assert len(out) < 200 and "2**14 - 1" in out
+    error = json.loads(out)["error"]
+    assert len(error) < 200
+    assert "words of length 2**14 - 1" in error and "the cap of 2000000" in error
 
 
 @pytest.mark.parametrize("command", ["search moment", "abelian bounds"])
@@ -183,8 +208,10 @@ def test_abelian_g_command(capsys):
     code, report = invoke(["abelian", "g", "--n", "2", "--k", "2"], capsys)
     assert code == EXIT_OK
     assert report["g"] == 5
-    # --checkpoint and --resume appear under inputs only when given
-    assert list(report["inputs"]) == ["abelian_cmd", "budget_nodes", "budget_seconds", "cmd", "k", "n"]
+    # abelian g takes the flags of search f, and its inputs name them all
+    assert list(report["inputs"]) == [
+        "abelian_cmd", "budget_nodes", "budget_seconds", "checkpoint", "cmd", "k", "n", "resume",
+    ]
 
 
 def test_abelian_g_checkpoint_resumes_to_the_plain_certificate(tmp_path):

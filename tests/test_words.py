@@ -13,6 +13,8 @@ def test_occurrences_examples():
     assert occurrences("a", "a") == [0]
     assert occurrences("", "abc") == [0, 1, 2, 3]
     assert occurrences("xyz", "ab") == []
+    # bytes take the find path as str does, overlapping occurrences included
+    assert occurrences(b"aa", b"baaa") == [1, 2]
 
 
 def test_occurrences_on_tuples():
