@@ -314,8 +314,8 @@ def _add_search_flags(q) -> None:
         "--budget-nodes",
         type=int,
         default=None,
-        help="stop after this many nodes; a deep `search f` run holds about 550 bytes "
-        "per letter of depth (103 MB at depth 158,835)",
+        help="stop after this many nodes; a deep `search f` run holds about 480 bytes "
+        "per letter of depth (90 MB at depth 158,835)",
     )
     q.add_argument("--budget-seconds", type=float, default=None)
     q.add_argument("--checkpoint", default=None)

@@ -9,9 +9,9 @@ exhausts it.
 A new encounter created by appending one letter must lie in a suffix of
 the extended word, so each node asks whether some suffix of w·c has Zimin
 type >= n.  ``zimin.ZiminSuffixTracker``, the engine of ``zimin_index``,
-answers that within the push: it builds the levels of the new position,
-the shortest suffix of each type, each from the latest earlier copy of
-the one below it that ends at least one letter before it starts, and
+answers that within the push: it counts the levels of the new position,
+the shortest suffix of each type, each found from the latest earlier copy
+of the one below it that ends at least one letter before it starts, and
 refuses the letter when they would reach type n.
 
 Encountering Z_n, plainly or abelian, does not depend on letter names, so
@@ -118,6 +118,7 @@ def _depth_first(tracker, max_nodes, deadline=None, *, resume=None, checkpoint_p
     """
     k = tracker.k
     word = tracker.word
+    push, pop = tracker.try_push, tracker.pop
     base_depth = len(word)
     # The path is ``word``; a pop makes the popped letter + 1 the next to
     # try.  At the deepest node: ``cur``, the next letter to try; ``absent``,
@@ -140,7 +141,7 @@ def _depth_first(tracker, max_nodes, deadline=None, *, resume=None, checkpoint_p
     if resume is not None:
         for c, skip in zip(parse_rendered_word(resume["path"])[base_depth:], resume["skip_state"]):
             u = (absent & -absent).bit_length() - 1
-            if c >= k or not tracker.try_push(c):
+            if c >= k or not push(c):
                 raise ValueError(f"checkpoint path is not an avoiding word over {k} letters")
             # 0 before u is tried, negative while its subtree is open, >= 0 after
             if not (skip == 0 if c < u else skip < 0 if c == u else skip >= 0 and not absent >> c & 1):
@@ -184,7 +185,7 @@ def _depth_first(tracker, max_nodes, deadline=None, *, resume=None, checkpoint_p
             if depth < keep:
                 keep = depth
                 tail.append(cur - 1)
-            tracker.pop()
+            pop()
             if len(saved) > depth - base_depth:
                 u, skip, absent = saved.pop()
                 if skip < 0:
@@ -200,7 +201,7 @@ def _depth_first(tracker, max_nodes, deadline=None, *, resume=None, checkpoint_p
             cur += 1
             continue
         cur += 1
-        if tracker.try_push(c):
+        if push(c):
             if u < k:
                 saved.append((u, -nodes if c == u else skip, absent))
                 if absent >> c & 1:

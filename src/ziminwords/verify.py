@@ -145,11 +145,8 @@ def check_counter_structure(order: int) -> list[CheckResult]:
     )
     if order > 1:
         subs = [bytes(2 * s.order + s.bit for s in counter_stream(j, order - 1)) for j in range(tau(order - 1))]
-        unique = True
-        for w in as_bytes.values():
-            for sub in subs:
-                if len(occurrences(sub, w)) != 1:
-                    unique = False
+        # a first hit and no later one: overlapping copies count too
+        unique = all((i := w.find(sub)) >= 0 and w.find(sub, i + 1) < 0 for w in as_bytes.values() for sub in subs)
         out.append(
             CheckResult(
                 f"order {order}: every order-{order - 1} counter occurs exactly once",

@@ -12,9 +12,9 @@ encounters it; ``is_unavoidable`` decides it by free-letter deletions
 instead, without building Z_n.
 
 ``zimin_type`` walks once down the border chain of its word, read off one
-prefix-function pass.  ``ZiminSuffixTracker`` keeps, for each position of
-a word, the shortest suffix of each type (its levels), each found from the
-latest earlier copy of the one below it, as letters are appended and
+prefix-function pass.  ``ZiminSuffixTracker`` counts, at each position of
+a word, the shortest suffixes of each type (its levels), each found from
+the latest earlier copy of the one below it, as letters are appended and
 removed; it drives ``zimin_index`` and the search.
 """
 
@@ -118,14 +118,14 @@ def _canon(w: Sequence) -> list[int]:
 class ZiminSuffixTracker:
     """Incremental check: would appending a letter close a Z_n encounter?
 
-    Each position m keeps its levels (L_1, ..., L_top), L_j the length of
-    the shortest suffix of ``word[:m+1]`` of type >= j, and ``top``, the
-    highest type among those suffixes, is the number of levels of the last
-    position.  L_1 = 1, and L_(j+1) = L_j + m - q, where q is the latest end
-    <= m - L_j - 1 of a copy of the level-j suffix a: the shortest suffix of
-    type >= j+1 is a' v a with type(a') >= j and v non-empty, a is a suffix
-    of every such a', and a copy of a ends where a' does.  With no such
-    copy, top = j.  A push is refused when j + 1 reaches n.
+    Each position m has levels (L_1, ..., L_top), L_j the length of the
+    shortest suffix of ``word[:m+1]`` of type >= j; ``_tops`` keeps each
+    top, the highest type of those suffixes (at most log2(m + 1)), and
+    ``top`` is the last.  L_1 = 1, and L_(j+1) = L_j + m - q, where q is the
+    latest end <= m - L_j - 1 of a copy of the level-j suffix a: the
+    shortest suffix of type >= j+1 is a' v a with type(a') >= j and v
+    non-empty, a is a suffix of every such a', and a copy of a ends where
+    a' does.  With no such copy, top = j.  A push is refused at j + 1 = n.
 
     A copy of a level string ending at p is a level of p too (the suffixes
     at p that are no longer than a are those of a), so ``_ends[c]``, which
@@ -148,7 +148,7 @@ class ZiminSuffixTracker:
         self.n = n
         self.k = k
         self.word: list[int] = []
-        self._levels: list[tuple[int, ...]] = []
+        self._tops = bytearray()  # the number of levels of each position
         self._width = ((k - 1).bit_length() + 7) // 8 or 1  # bytes per letter
         self._bytes = [c.to_bytes(self._width, "big") for c in range(k)]
         self._text = bytearray()
@@ -168,15 +168,14 @@ class ZiminSuffixTracker:
         n = self.n
         lists = []  # the lists of ends that the levels >= 2 of m join
         key = None  # the key that m's top level creates, if it is new
-        if q < 0:
-            levels = [1]
-        else:
+        top = 1
+        if q >= 0:
             ell = m + 1 - q
-            levels = [1, ell]
+            top = 2
             ends = self._ends[c]
             text = self._text
             w = self._width
-            while len(levels) < n:
+            while top < n:
                 # the highest level so far: its letters before c are the key
                 a = text[(m + 1 - ell) * w :]
                 key = a.decode("latin-1")
@@ -197,14 +196,14 @@ class ZiminSuffixTracker:
                 if not i:
                     break
                 ell += m - hits[i - 1]
-                levels.append(ell)
-        if len(levels) >= n:
+                top += 1
+        if top >= n:
             return False
         word.append(c)
         self._prev.append(prev)
         last[c] = m
         self._text += self._bytes[c]
-        self._levels.append(tuple(levels))
+        self._tops.append(top)
         for hits in lists:
             hits.append(m)
         if key is not None:
@@ -216,14 +215,14 @@ class ZiminSuffixTracker:
     @property
     def top(self) -> int:
         """The number of levels of the last position."""
-        return len(self._levels[-1]) if self._levels else 0
+        return self._tops[-1] if self._tops else 0
 
     def pop(self):
         lists = self._undo.pop()
         key = lists.pop()
         c = self.word.pop()
         self._last[c] = self._prev.pop()
-        self._levels.pop()
+        self._tops.pop()
         del self._text[-self._width :]
         for hits in lists:
             hits.pop()
@@ -278,7 +277,7 @@ def zimin_index(w: Sequence, max_length: Optional[int] = DEFAULT_INDEX_LENGTH_CA
     tracker = ZiminSuffixTracker(n.bit_length() + 2, max(x, default=0) + 1)
     for c in x:
         _try_push(tracker, c)
-    return max(map(len, tracker._levels), default=0)
+    return max(tracker._tops, default=0)
 
 
 def _regex(p: Pattern) -> re.Pattern:

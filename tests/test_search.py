@@ -178,12 +178,12 @@ def _levels_by_oracle(word):
 
 
 def _state(tracker):
-    # the word, top, the levels of every position, the mirror, the latest
-    # and the previous positions of the letters, and the tables of ends
+    # the word, top, the number of levels of every position, the mirror, the
+    # latest and the previous positions of the letters, and the tables of ends
     return (
         tracker.word[:],
         tracker.top,
-        tracker._levels[:],
+        bytes(tracker._tops),
         bytes(tracker._text),
         tracker._last[:],
         tracker._prev[:],
@@ -213,7 +213,14 @@ def _walk_against_oracle(rng, n, k, letters):
         # tracker built on the word from scratch
         levels = _levels_by_oracle(fast.word)
         assert fast.top == len(levels), (n, k, fast.word)
-        assert (fast._levels[-1] if fast.word else ()) == levels, (n, k, fast.word)
+        if fast.word:
+            # the levels of the last position above L_1 are the keys whose
+            # lists hold it; an exact key is the level's letters before its last
+            m = len(fast.word) - 1
+            keys = [key for key, hits in fast._ends[fast.word[-1]].items() if m in hits]
+            if all(isinstance(key, str) for key in keys):
+                rebuilt = (1, *sorted(len(key) // fast._width + 1 for key in keys))
+                assert rebuilt == levels, (n, k, fast.word)
         assert _state(fast) == _fresh_state(n, k, fast.word), (n, k, fast.word)
 
 
@@ -239,7 +246,9 @@ def test_tracker_random_walks_match_oracle():
 def test_tracker_survives_hash_collisions(monkeypatch):
     # every key is hashed, and every hash is equal: each table of ends then
     # holds one list for all the level strings of its letter, and only the
-    # check against the mirror tells a copy from a collision
+    # check against the mirror tells a copy from a collision; no key names
+    # its level's length, so the walks check top, the oracle's decisions and
+    # the state of a fresh tracker
     monkeypatch.setattr(zimin_module, "_EXACT_KEY", 0)
     monkeypatch.setattr(zimin_module, "hash", lambda key: 0, raising=False)
     rng = random.Random(20191105)
@@ -290,6 +299,19 @@ def test_tracker_push_pop_restores_the_state(n, k, steps):
                 # a refused push changes nothing
                 assert _slots(tracker) == snapshot
     assert _state(tracker) == _fresh_state(n, k, tracker.word)
+
+
+def test_deep_search_memory_per_position():
+    # a position keeps one byte for its top: 20,000 nodes of f(5, 2) reach
+    # depth 19,916 within about 7.9 MB, where a tuple of levels per position
+    # would take about 9.4 MB
+    tracemalloc.start()
+    try:
+        longest_avoiding(5, 2, max_nodes=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_500_000, peak
 
 
 def test_deep_f52_search_pinned():

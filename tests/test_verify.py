@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ziminwords import verify
@@ -20,6 +22,7 @@ from ziminwords.verify import (
     check_zimin_oracles,
     run_suite,
 )
+from ziminwords.words import sym
 from ziminwords.zimin import ZiminSuffixTracker, zimin_index, zimin_type
 
 
@@ -38,6 +41,23 @@ def test_regular_identity_checks_pass():
 def test_counter_structure_checks_pass():
     for order in (1, 2, 3):
         assert all(r.passed for r in check_counter_structure(order))
+
+
+@pytest.mark.parametrize("copies", [0, 2])
+def test_counter_structure_notices_a_sub_counter_not_found_exactly_once(monkeypatch, copies):
+    # order-1 counter 0 made to occur twice in order-2 counter 0, or nowhere
+    real = verify.counter_stream
+
+    def stream(i, order):
+        if (i, order) == (0, 2) and copies == 2:
+            return itertools.chain(real(0, 2), real(0, 1))
+        if (i, order) == (0, 1) and copies == 0:
+            return iter([sym(0, 5)])
+        return real(i, order)
+
+    monkeypatch.setattr(verify, "counter_stream", stream)
+    results = {r.name: r.passed for r in check_counter_structure(2)}
+    assert results["order 2: every order-1 counter occurs exactly once"] is False
 
 
 def test_counter_zimin_per_order():
